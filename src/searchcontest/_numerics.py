@@ -2,7 +2,9 @@
 
 Everything here is about evaluating expressions of the form 1 - (1-x)^n and
 their normalized ratios without cancellation, for x in [0,1] and real
-n >= 1 up to ~1e6. The exponent is applied in log space throughout.
+n >= 1 up to ~1e6. The exponent is applied in log space throughout. The
+root solvers at the end locate every cutoff in the package to float
+resolution.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ import math
 from typing import Callable
 
 from ._errors import ConvergenceError
-
-# Absolute bracket-width tolerance for bisection solves.
-DEFAULT_TOL = 1e-12
 
 
 def compl_pow(x: float, n: float) -> float:
@@ -83,52 +82,52 @@ def win_rate_deficit(x: float, n: float) -> float:
         total = new_total
 
 
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Bisection root on [lo, hi] given fn(lo) <= 0 <= fn(hi).
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of fn on [lo, hi], given a sign change between fn(lo) and fn(hi).
 
-    Globally safe on monotone maps (the main use case: strictly increasing
-    equilibrium gaps); for non-monotone fn it converges to some sign
-    change inside the bracket. Runs until the bracket width drops below
-    tol (absolute).
+    Either orientation works. Globally safe on monotone maps; for a
+    non-monotone fn it converges to some sign change inside the bracket.
+    Halves the bracket until its midpoint is one of its ends, that is, to
+    float resolution.
     """
     f_lo = fn(lo)
     f_hi = fn(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise ConvergenceError(
-            f"root not bracketed: f({lo}) = {f_lo}, f({hi}) = {f_hi}"
-        )
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    # ~50 halvings close a unit bracket to 1e-15; cap generously.
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
+    # Orient fn to rise across the bracket.
+    sign = 1.0 if f_lo < 0.0 else -1.0
+    if not sign * f_hi > 0.0:
+        raise ConvergenceError(
+            f"root not bracketed: f({lo}) = {f_lo}, f({hi}) = {f_hi}"
+        )
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at float resolution
-        f_mid = fn(mid)
-        if f_mid <= 0.0:
+        if not lo < mid < hi:
+            return mid
+        if sign * fn(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
-def bisect_root_decreasing(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Bisection root for fn with fn(lo) >= 0 >= fn(hi)."""
-    return bisect_root(lambda c: -fn(c), lo, hi, tol)
+def solve_cutoff(
+    value: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, bool]:
+    """Cutoff c in [lo, hi] solving c = value(c), and whether it is interior.
+
+    value(c) is what the marginal agent at cost c gains from searching
+    when everyone uses cutoff c. When value(lo) <= lo nobody searches and
+    the cutoff clamps to (lo, False); when value(hi) >= hi everyone does
+    and it clamps to (hi, False). Otherwise c - value(c) changes sign on
+    the support and its root comes back as (c, True).
+    """
+    if value(lo) <= lo:
+        return lo, False
+    if value(hi) >= hi:
+        return hi, False
+    return bisect_root(lambda c: c - value(c), lo, hi), True
 
 
 def log_log_slope(xs, ys) -> tuple[float, float]:

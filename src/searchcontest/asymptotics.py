@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._errors import InputError
-from ._numerics import DEFAULT_TOL, bisect_root_decreasing, log_log_slope
+from ._errors import InputError, check_find_probability, check_positive
+from ._numerics import bisect_root, log_log_slope
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig, solve_threshold
 
@@ -40,10 +40,8 @@ class RateEstimate:
 def _check_limit_args(c_lo: float, q: float, V: float) -> None:
     if c_lo < 0.0 or not math.isfinite(c_lo):
         raise InputError(f"support floor must be finite and >= 0, got {c_lo}")
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
-    if not (V > 0.0 and math.isfinite(V)):
-        raise InputError(f"V must be positive and finite, got {V}")
+    check_find_probability(q)
+    check_positive("V", V)
     if c_lo >= q * V:
         raise InputError(
             f"need c_lo < q*V for an interior sequence (got {c_lo} >= {q * V})"
@@ -64,7 +62,7 @@ def limit_expected_searchers(c_lo: float, q: float, V: float) -> float:
     def gap(k: float) -> float:
         return V * (-math.expm1(-q * k)) / k - c_lo
 
-    return bisect_root_decreasing(gap, 1e-12, V / c_lo + 1.0, tol=DEFAULT_TOL)
+    return bisect_root(gap, 1e-12, V / c_lo + 1.0)
 
 
 def limit_success_probability(c_lo: float, q: float, V: float) -> float:
@@ -99,7 +97,6 @@ def estimate_rate(
     V: float,
     n_values,
     quantity: str = "gap",
-    tol: float = DEFAULT_TOL,
 ) -> RateEstimate:
     """Log-log OLS rate of a convergence quantity along an n grid.
 
@@ -115,7 +112,7 @@ def estimate_rate(
     lo, _ = d.support()
     ys = []
     for n in n_list:
-        res = solve_threshold(d, ContestConfig(n=n, q=q, V=V), tol)
+        res = solve_threshold(d, ContestConfig(n=n, q=q, V=V))
         if not res.interior:
             raise InputError(f"equilibrium at n = {n} is not interior")
         c = res.threshold
@@ -142,10 +139,8 @@ def limit_optimal_prize(c_lo: float, q: float, W: float) -> float:
     """
     if c_lo < 0.0 or not math.isfinite(c_lo):
         raise InputError(f"support floor must be finite and >= 0, got {c_lo}")
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
-    if not (W > 0.0 and math.isfinite(W)):
-        raise InputError(f"W must be positive and finite, got {W}")
+    check_find_probability(q)
+    check_positive("W", W)
     if c_lo == 0.0:
         return 0.0
     if c_lo > W * q:

@@ -194,7 +194,7 @@ def _result_payload(res) -> dict:
 def _cmd_solve(args, argv, started) -> int:
     d = _parse_dist(args.dist)
     cfg = ContestConfig(n=args.n, q=args.q, V=args.V)
-    res = solve_threshold(d, cfg, args.tol)
+    res = solve_threshold(d, cfg)
     payload = _result_payload(res)
     _emit(args, argv, _config_echo(args), payload, [payload], started)
     return EXIT_OK
@@ -213,19 +213,19 @@ def _cmd_sweep(args, argv, started) -> int:
             q = v
         else:
             V = v
-        res = solve_threshold(d, ContestConfig(n=n, q=q, V=V), args.tol)
+        res = solve_threshold(d, ContestConfig(n=n, q=q, V=V))
         rows.append({args.param: v, **_result_payload(res)})
     _emit(args, argv, _config_echo(args), {"sweep": rows}, rows, started)
     return EXIT_OK
 
 
-def _reproduce_reference_table(name: str, tol: float) -> tuple[list[dict], bool]:
+def _reproduce_reference_table(name: str) -> tuple[list[dict], bool]:
     spec = REFERENCE_TABLES[name]
     d = distribution_from_spec(spec["dist"])
     rows = []
     all_ok = True
     for n, c_ref, p_ref in spec["rows"]:
-        res = solve_threshold(d, ContestConfig(n=float(n), q=spec["q"], V=spec["V"]), tol)
+        res = solve_threshold(d, ContestConfig(n=float(n), q=spec["q"], V=spec["V"]))
         ok = abs(res.threshold - c_ref) <= TABLE_TOL and abs(res.success_prob - p_ref) <= TABLE_TOL
         all_ok &= ok
         rows.append(
@@ -241,14 +241,14 @@ def _reproduce_reference_table(name: str, tol: float) -> tuple[list[dict], bool]
     return rows, all_ok
 
 
-def _reproduce_example3(tol: float) -> tuple[list[dict], bool]:
+def _reproduce_example3() -> tuple[list[dict], bool]:
     d = distribution_from_spec({"kind": "uniform", "a": 0.0, "b": 1.0})
     q, n, W, V = 1.0, 2, 2.0, 1.0
     wta = mp_mod.PrizeStructure.winner_takes_all(V, n)
     v34 = mp_mod.PrizeStructure((0.75, 0.25))
-    u_wta = mp_mod.principal_value_multi(d, q, n, W, wta, tol)
-    u_34 = mp_mod.principal_value_multi(d, q, n, W, v34, tol)
-    best = mp_mod.optimal_prize_structure(d, q, n, W, V, tol)
+    u_wta = mp_mod.principal_value_multi(d, q, n, W, wta)
+    u_34 = mp_mod.principal_value_multi(d, q, n, W, v34)
+    best = mp_mod.optimal_prize_structure(d, q, n, W, V)
     rows = [
         {"quantity": "value_winner_takes_all", "computed": u_wta, "reference": 8.0 / 9.0,
          "ok": abs(u_wta - 8.0 / 9.0) <= 1e-9},
@@ -282,9 +282,9 @@ def _reproduce_appendix_c() -> tuple[list[dict], bool]:
 def _cmd_tables(args, argv, started) -> int:
     name = args.name
     if name in REFERENCE_TABLES:
-        rows, ok = _reproduce_reference_table(name, args.tol)
+        rows, ok = _reproduce_reference_table(name)
     elif name == "example3":
-        rows, ok = _reproduce_example3(args.tol)
+        rows, ok = _reproduce_example3()
     else:
         rows, ok = _reproduce_appendix_c()
     payload = {"name": name, "rows": rows, "all_ok": ok}
@@ -294,7 +294,7 @@ def _cmd_tables(args, argv, started) -> int:
 
 def _cmd_principal(args, argv, started) -> int:
     d = _parse_dist(args.dist)
-    sol = pr_mod.optimal_prize(d, args.q, args.n, args.W, args.tol)
+    sol = pr_mod.optimal_prize(d, args.q, args.n, args.W)
     lo, hi = pr_mod.stakes_window(d, args.q, args.n)
     payload = {
         "threshold": sol.threshold,
@@ -313,7 +313,7 @@ def _cmd_prize_structure(args, argv, started) -> int:
     n = int(args.n)
     if n != args.n:
         raise InputError("prize structures need an integer field size n")
-    sol = mp_mod.optimal_prize_structure(d, args.q, n, args.W, args.V, args.tol)
+    sol = mp_mod.optimal_prize_structure(d, args.q, n, args.W, args.V)
     payload = {
         "threshold": sol.threshold,
         "prizes": list(sol.structure.values),
@@ -329,12 +329,10 @@ def _cmd_prize_structure(args, argv, started) -> int:
 
 def _cmd_expert(args, argv, started) -> int:
     d = _parse_dist(args.dist)
-    res = exp_mod.solve_threshold_expert(d, args.q, args.qe, args.n, args.V, args.mode, args.tol)
-    total = exp_mod.success_probability_with_expert(
-        d, args.q, args.qe, args.n, args.V, args.mode, args.tol
-    )
+    res = exp_mod.solve_threshold_expert(d, args.q, args.qe, args.n, args.V, args.mode)
+    total = exp_mod.success_probability_with_expert(d, args.q, args.qe, args.n, args.V, args.mode)
     try:
-        crit = exp_mod.critical_expertise(d, args.q, args.n, args.V, args.tol)
+        crit = exp_mod.critical_expertise(d, args.q, args.n, args.V)
     except InputError:
         crit = None
     payload = {
@@ -397,7 +395,7 @@ def _cmd_asymptotics(args, argv, started) -> int:
             if args.n_values
             else [1e2, 1e3, 1e4, 1e5, 1e6]
         )
-        fit = asym.estimate_rate(d, args.q, args.V, n_values, args.rate, args.tol)
+        fit = asym.estimate_rate(d, args.q, args.V, n_values, args.rate)
         payload["rate"] = {
             "quantity": fit.quantity,
             "slope": fit.slope,
@@ -434,7 +432,7 @@ def _cmd_simulate(args, argv, started) -> int:
     if args.threshold is not None:
         thresholds = _parse_thresholds(args.threshold)
     else:
-        thresholds = solve_threshold(d, cfg, args.tol).threshold
+        thresholds = solve_threshold(d, cfg).threshold
 
     sim = mc_mod.SimConfig(
         replications=args.reps, seed=args.seed, thresholds=thresholds, variant=variant
@@ -482,7 +480,6 @@ def _cmd_simulate(args, argv, started) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--out", help="output path (default stdout)")
 

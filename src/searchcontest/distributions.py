@@ -3,7 +3,8 @@
 Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, quantile, the reverse-hazard ratio F/f, and the support
-endpoints. A JSON-dict spec form round-trips through
+endpoints, plus two shape facts in closed form: where F/f drops, if it
+does, and the maximum of c*f(c). A JSON-dict spec form round-trips through
 ``distribution_from_spec`` / ``to_spec`` for the CLI.
 
 Conventions:
@@ -54,6 +55,15 @@ class CostDistribution:
             raise InputError(f"density is zero at c = {c}; F/f undefined")
         return F / f
 
+    def reverse_hazard_drop(self) -> tuple[float, float] | None:
+        """None if F/f is nondecreasing where f > 0, else an interval
+        across which it drops."""
+        raise NotImplementedError
+
+    def max_c_pdf(self) -> float:
+        """Maximum of c*f(c) over the support."""
+        raise NotImplementedError
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -88,6 +98,12 @@ class Uniform(CostDistribution):
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
         return self.a + np.multiply(u, self.b - self.a)
+
+    def reverse_hazard_drop(self) -> None:
+        return None  # F/f = c - a
+
+    def max_c_pdf(self) -> float:
+        return self.b / (self.b - self.a)
 
     def to_spec(self) -> dict:
         return {"kind": "uniform", "a": self.a, "b": self.b}
@@ -125,6 +141,12 @@ class PowerLaw(CostDistribution):
         if self.cdf(c) == 0.0:
             return 0.0
         return c / self.alpha
+
+    def reverse_hazard_drop(self) -> None:
+        return None  # F/f = c / alpha
+
+    def max_c_pdf(self) -> float:
+        return self.alpha  # c*f(c) = alpha * c^alpha, largest at c = 1
 
     def to_spec(self) -> dict:
         return {"kind": "power", "alpha": self.alpha}
@@ -187,6 +209,26 @@ class PiecewiseLinear(CostDistribution):
         out = np.minimum(self._c[i] + step, self._c[-1])
         return out if isinstance(u, np.ndarray) else float(out)
 
+    def reverse_hazard_drop(self) -> tuple[float, float] | None:
+        """F/f rises with slope 1 inside each positive-slope segment, so it
+        drops exactly where the slope rises from one such segment to the
+        next; zero-slope stretches between them leave F unchanged and F/f
+        undefined. Returns the span of the first such pair of segments.
+        The relative slack absorbs the rounding of slopes along collinear
+        knots."""
+        prev = None
+        for i, slope in enumerate(self._slopes):
+            if slope <= 0.0:
+                continue
+            if prev is not None and slope > self._slopes[prev] * (1.0 + 1e-9):
+                return float(self._c[prev]), float(self._c[i + 1])
+            prev = i
+        return None
+
+    def max_c_pdf(self) -> float:
+        # c*f(c) rises across each segment, so its maximum sits at a right end.
+        return float(np.max(self._c[1:] * self._slopes))
+
     def to_spec(self) -> dict:
         return {"kind": "piecewise_linear", "knots": [[c, F] for c, F in self.knots]}
 
@@ -208,29 +250,13 @@ def distribution_from_spec(spec: dict) -> CostDistribution:
     raise InputError(f"unknown distribution kind: {kind!r}")
 
 
-def check_reverse_hazard_monotone(
-    d: CostDistribution, grid_size: int = 512
-) -> tuple[bool, tuple[float, float] | None]:
-    """Grid diagnostic: is F/f nondecreasing on the support interior?
+def check_reverse_hazard_monotone(d: CostDistribution) -> tuple[bool, tuple[float, float] | None]:
+    """Is F/f nondecreasing wherever the density is positive?
 
-    Returns (ok, first_violating_pair). The principal-side solvers require
-    a nondecreasing reverse-hazard ratio for their fixed-point equation to
-    have a unique root; this check is a sampled diagnostic, not a proof.
-    Violations typically show up at piecewise-linear kinks where the slope
-    jumps up.
+    Returns (ok, violating_interval), decided exactly per family. The
+    principal-side solvers require a nondecreasing reverse-hazard ratio
+    for their fixed-point equation to have a unique root. Violations
+    occur only at piecewise-linear knots where the slope rises.
     """
-    if grid_size < 3:
-        raise InputError("grid_size must be at least 3")
-    lo, hi = d.support()
-    # Stay strictly interior; endpoints can have zero density or F = 0.
-    grid = np.linspace(lo, hi, grid_size + 2)[1:-1]
-    prev_c, prev_r = None, None
-    for c in grid:
-        try:
-            r = d.reverse_hazard(float(c))
-        except InputError:
-            continue  # zero-density stretch: skip, ratio undefined there
-        if prev_r is not None and r < prev_r - 1e-12:
-            return False, (float(prev_c), float(c))
-        prev_c, prev_r = c, r
-    return True, None
+    drop = d.reverse_hazard_drop()
+    return drop is None, drop

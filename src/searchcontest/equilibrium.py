@@ -12,13 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._errors import InputError
-from ._numerics import (
-    DEFAULT_TOL,
-    bisect_root,
-    prob_any,
-    win_rate,
-)
+from ._errors import InputError, check_find_probability, check_positive
+from ._numerics import bisect_root, prob_any, solve_cutoff, win_rate
 from .distributions import CostDistribution
 
 
@@ -34,10 +29,8 @@ class ContestConfig:
     def __post_init__(self):
         if not (self.n >= 1.0 and math.isfinite(self.n)):
             raise InputError(f"n must be a finite real >= 1, got {self.n}")
-        if not (0.0 < self.q <= 1.0):
-            raise InputError(f"q must lie in (0, 1], got {self.q}")
-        if not (self.V > 0.0 and math.isfinite(self.V)):
-            raise InputError(f"V must be positive and finite, got {self.V}")
+        check_find_probability(self.q)
+        check_positive("V", self.V)
 
 
 @dataclass(frozen=True)
@@ -76,9 +69,7 @@ def win_probability(d: CostDistribution, cfg: ContestConfig, c_hat: float) -> fl
     Closed form (1 - (1 - q F)^n) / (n F), extended continuously to q at
     F = 0. Strictly decreasing in c_hat on the support.
     """
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    d._check_in_support(c_hat)
     x = cfg.q * d.cdf(c_hat)
     # (1-(1-x)^n)/(nF) = q * (1-(1-x)^n)/(n x); win_rate handles x -> 0.
     return cfg.q * win_rate(x, cfg.n)
@@ -86,35 +77,21 @@ def win_probability(d: CostDistribution, cfg: ContestConfig, c_hat: float) -> fl
 
 def success_probability(d: CostDistribution, cfg: ContestConfig, c_hat: float) -> float:
     """Probability the object is found: 1 - (1 - q F(c_hat))^n."""
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    d._check_in_support(c_hat)
     return prob_any(cfg.q * d.cdf(c_hat), cfg.n)
 
 
-def solve_threshold(
-    d: CostDistribution, cfg: ContestConfig, tol: float = DEFAULT_TOL
-) -> EquilibriumResult:
+def solve_threshold(d: CostDistribution, cfg: ContestConfig) -> EquilibriumResult:
     """Equilibrium cutoff: root of g(c) = c - V * win_probability(c).
 
     g is strictly increasing, so bisection is globally safe. When the
     interiority conditions fail the cutoff clamps to the relevant support
-    endpoint and the result is flagged non-interior.
+    endpoint (q V <= c_lo: nobody searches; V * win_probability(c_hi) >=
+    c_hi: everybody does) and the result is flagged non-interior.
     """
-    lo, hi = d.support()
-    if cfg.q * cfg.V <= lo:
-        # Even a lone finder's expected prize cannot cover the cheapest cost.
-        c = lo
-        interior = False
-    elif cfg.V * win_probability(d, cfg, hi) >= hi:
-        # Search is worthwhile at the costliest draw; everyone searches.
-        c = hi
-        interior = False
-    else:
-        c = bisect_root(
-            lambda t: t - cfg.V * win_probability(d, cfg, t), lo, hi, tol
-        )
-        interior = True
+    c, interior = solve_cutoff(
+        lambda t: cfg.V * win_probability(d, cfg, t), *d.support()
+    )
     w = win_probability(d, cfg, c)
     return EquilibriumResult(
         threshold=c,
@@ -144,11 +121,10 @@ def sweep_n(
     q: float,
     V: float,
     n_values,
-    tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, EquilibriumResult]]:
     """Solve the contest for each field size in n_values."""
     return [
-        (float(n), solve_threshold(d, ContestConfig(n=float(n), q=q, V=V), tol))
+        (float(n), solve_threshold(d, ContestConfig(n=float(n), q=q, V=V)))
         for n in n_values
     ]
 
@@ -159,8 +135,7 @@ def success_increasing_in_n(d: CostDistribution, q: float, c_star: float) -> boo
     Holds iff (1-y) ln(1-y) / (-y) >= 1 / (1 + F/(c f)) at the current
     cutoff, with y = q F(c_star). Requires F > 0 and f > 0 there.
     """
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
+    check_find_probability(q)
     F = d.cdf(c_star)
     if F <= 0.0:
         raise InputError("condition needs F(c_star) > 0")
@@ -176,39 +151,13 @@ def success_increasing_in_n(d: CostDistribution, q: float, c_star: float) -> boo
     return lhs >= rhs
 
 
-def q_bound_monotone_success(d: CostDistribution, grid_size: int = 4096) -> float:
+def q_bound_monotone_success(d: CostDistribution) -> float:
     """Largest find probability below which success always rises with n.
 
-    Equals 1 / (max_c c*f(c) + 1). The maximum of c*f(c) is located by a
-    coarse grid followed by two zoom refinements; exact for the supported
-    families (the max sits at a support endpoint or a kink).
+    Equals 1 / (1 + max_c c*f(c)), with the maximum taken in closed form
+    by the distribution family.
     """
-    lo, hi = d.support()
-
-    def cf(c: float) -> float:
-        try:
-            return c * d.pdf(c)
-        except InputError:
-            return 0.0
-
-    import numpy as np
-
-    grid = np.linspace(lo, hi, grid_size)
-    vals = np.array([cf(float(c)) for c in grid])
-    if not np.all(np.isfinite(vals)):
-        raise InputError("c*f(c) is unbounded on the support")
-    best = int(np.argmax(vals))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_size - 1)]
-    peak = float(vals[best])
-    for _ in range(2):
-        zoom = np.linspace(a, b, grid_size)
-        zvals = np.array([cf(float(c)) for c in zoom])
-        j = int(np.argmax(zvals))
-        peak = max(peak, float(zvals[j]))
-        a = zoom[max(j - 1, 0)]
-        b = zoom[min(j + 1, grid_size - 1)]
-    return 1.0 / (peak + 1.0)
+    return 1.0 / (1.0 + d.max_c_pdf())
 
 
 def qf_cutoff_power(alpha: float) -> float:
@@ -227,4 +176,4 @@ def qf_cutoff_power(alpha: float) -> float:
         return (1.0 - y) * math.log1p(-y) + y * ratio
 
     # h < 0 just above 0 (slope -1/(1+alpha)) and h(1) = ratio > 0.
-    return bisect_root(h, 1e-12, 1.0, tol=1e-15)
+    return bisect_root(h, 1e-12, 1.0)

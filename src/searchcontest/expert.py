@@ -15,8 +15,8 @@ crowd agent.
 
 from __future__ import annotations
 
-from ._errors import InputError
-from ._numerics import DEFAULT_TOL, bisect_root, win_rate_deficit
+from ._errors import InputError, check_find_probability
+from ._numerics import solve_cutoff, win_rate_deficit
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
@@ -44,11 +44,8 @@ def win_probability_vs_certain_expert(
     Continuous at F = 0 with value q/2: against a certain finder, a lone
     crowd finder still wins the coin flip half the time.
     """
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    check_find_probability(q)
+    d._check_in_support(c_hat)
     x = q * d.cdf(c_hat)
     return (q / n) * win_rate_deficit(x, n + 1.0)
 
@@ -77,7 +74,6 @@ def solve_threshold_expert(
     n: float,
     V: float,
     mode: str = "shared",
-    tol: float = DEFAULT_TOL,
 ) -> EquilibriumResult:
     """Equilibrium crowd cutoff with the expert in the field.
 
@@ -93,7 +89,6 @@ def solve_threshold_expert(
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     _check_qe(q_e)
     cfg = ContestConfig(n=n, q=q, V=V)
-    lo, hi = d.support()
 
     if mode == "shared":
         def effective_win(c: float) -> float:
@@ -102,13 +97,7 @@ def solve_threshold_expert(
         def effective_win(c: float) -> float:
             return (1.0 - q_e) * win_probability(d, cfg, c)
 
-    if V * effective_win(lo) <= lo:
-        c, interior = lo, False
-    elif V * effective_win(hi) >= hi:
-        c, interior = hi, False
-    else:
-        c = bisect_root(lambda t: t - V * effective_win(t), lo, hi, tol)
-        interior = True
+    c, interior = solve_cutoff(lambda t: V * effective_win(t), *d.support())
     w = effective_win(c)
     return EquilibriumResult(
         threshold=c,
@@ -120,15 +109,13 @@ def solve_threshold_expert(
     )
 
 
-def critical_expertise(
-    d: CostDistribution, q: float, n: float, V: float, tol: float = DEFAULT_TOL
-) -> float:
+def critical_expertise(d: CostDistribution, q: float, n: float, V: float) -> float:
     """Expertise level at which the expert acts like one extra crowd agent.
 
     q_e = q * F(c*(n+1)) where c*(n+1) is the baseline cutoff with n+1
     agents. Requires that (n+1)-agent equilibrium to be interior.
     """
-    res = solve_threshold(d, ContestConfig(n=n + 1.0, q=q, V=V), tol)
+    res = solve_threshold(d, ContestConfig(n=n + 1.0, q=q, V=V))
     if not res.interior:
         raise InputError(
             "critical expertise undefined: the (n+1)-agent equilibrium is not interior"
@@ -143,7 +130,6 @@ def success_probability_with_expert(
     n: float,
     V: float,
     mode: str = "shared",
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Total success probability with the expert: crowd or expert finds.
 
@@ -151,6 +137,6 @@ def success_probability_with_expert(
     fixed cutoff; the equilibrium cutoff shifts too because the crowd is
     discouraged.
     """
-    res = solve_threshold_expert(d, q, q_e, n, V, mode, tol)
+    res = solve_threshold_expert(d, q, q_e, n, V, mode)
     p_crowd = success_probability(d, ContestConfig(n=n, q=q, V=V), res.threshold)
     return (1.0 - q_e) * p_crowd + q_e

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import ConvergenceError, InputError
-from ._numerics import DEFAULT_TOL, bisect_root
+from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
+from ._numerics import bisect_root, solve_cutoff
 from .distributions import CostDistribution, check_reverse_hazard_monotone
 from .equilibrium import ContestConfig, solve_threshold
 
@@ -52,8 +52,7 @@ class HeteroContest:
             raise InputError("need at least one agent")
         if any(not (0.0 < v <= 1.0) for v in q):
             raise InputError("every find probability must lie in (0, 1]")
-        if not (self.V > 0.0 and math.isfinite(self.V)):
-            raise InputError(f"V must be positive and finite, got {self.V}")
+        check_positive("V", self.V)
         perm = sorted(range(len(q)), key=lambda i: -q[i])
         object.__setattr__(self, "q_values", tuple(q[i] for i in perm))
         object.__setattr__(self, "order", tuple(perm))
@@ -165,21 +164,14 @@ def solve_thresholds(
 def _principal_update(
     contest: HeteroContest, i: int, c: np.ndarray, W: float
 ) -> float:
-    """Solve c_i + F(c_i)/f(c_i) = W q_i prod_{j!=i}(1 - q_j F(c_j))."""
+    """Solve c_i + F(c_i)/f(c_i) = W q_i prod_{j!=i}(1 - q_j F(c_j)),
+    clamped into the support."""
     d = contest.dist
-    lo, hi = d.support()
     q = np.asarray(contest.q_values)
     F_rivals = np.array([d.cdf(float(t)) for t in np.delete(c, i)])
     K = W * float(q[i]) * float(np.prod(1.0 - np.delete(q, i) * F_rivals))
-    if lo >= K:
-        return lo
-
-    def gap(t: float) -> float:
-        return t + d.reverse_hazard(t) - K
-
-    if gap(hi) <= 0.0:
-        return hi
-    return bisect_root(gap, lo, hi, DEFAULT_TOL)
+    c_i, _ = solve_cutoff(lambda t: K - d.reverse_hazard(t), *d.support())
+    return c_i
 
 
 def solve_principal_thresholds(
@@ -194,8 +186,7 @@ def solve_principal_thresholds(
     others fixed; the left side is strictly increasing when F/f is
     nondecreasing, which is checked up front.
     """
-    if not (W > 0.0 and math.isfinite(W)):
-        raise InputError(f"W must be positive and finite, got {W}")
+    check_positive("W", W)
     ok, where = check_reverse_hazard_monotone(contest.dist)
     if not ok:
         raise InputError(
@@ -279,10 +270,8 @@ def best_response_n2(d: CostDistribution, q: float, V: float, c_other: float) ->
 
     q V (1 - (q/2) F(c_other)), clamped into the support.
     """
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
-    if not (V > 0.0 and math.isfinite(V)):
-        raise InputError(f"V must be positive and finite, got {V}")
+    check_find_probability(q)
+    check_positive("V", V)
     lo, hi = d.support()
     br = q * V * (1.0 - 0.5 * q * d.cdf(c_other))
     return min(max(br, lo), hi)
@@ -324,13 +313,7 @@ def best_response_scan_n2(
         if abs(ga) <= tol or abs(gb) <= tol:
             continue
         if ga * gb < 0.0:
-            a, b = float(grid_pts[i]), float(grid_pts[i + 1])
-            root = (
-                bisect_root(gap, a, b, DEFAULT_TOL)
-                if ga < 0.0
-                else bisect_root(lambda c: -gap(c), a, b, DEFAULT_TOL)
-            )
-            accepted.append(root)
+            accepted.append(bisect_root(gap, float(grid_pts[i]), float(grid_pts[i + 1])))
     accepted.sort()
 
     pairs = []

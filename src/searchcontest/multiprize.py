@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from ._errors import ConvergenceError, InputError
-from ._numerics import DEFAULT_TOL, bisect_root, bisect_root_decreasing, win_rate
+from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
+from ._numerics import bisect_root, win_rate
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
@@ -80,15 +80,12 @@ class PrizeStructure:
 
 
 def _check_rank_args(d: CostDistribution, q: float, n: int, m: int, c_hat: float) -> float:
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
+    check_find_probability(q)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InputError(f"n must be an integer >= 1, got {n!r}")
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
         raise InputError(f"rank m must be an integer in [1, {n}], got {m!r}")
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    d._check_in_support(c_hat)
     return d.cdf(c_hat)
 
 
@@ -102,35 +99,6 @@ def prob_at_least_m_find(
     """
     F = _check_rank_args(d, q, n, m, c_hat)
     return float(binom.sf(m - 1, n, q * F))
-
-
-def prob_at_least_m_find_direct(
-    d: CostDistribution, q: float, n: int, m: int, c_hat: float
-) -> float:
-    """Literal double sum over searcher and finder counts (oracle form).
-
-    O(n^2); exact integer binomials up to n = 60, log-domain beyond.
-    """
-    F = _check_rank_args(d, q, n, m, c_hat)
-    total = 0.0
-    for k in range(m, n + 1):
-        inner = 0.0
-        for t in range(m, k + 1):
-            inner += _binom_pmf(t, k, q)
-        total += _binom_pmf(k, n, F) * inner
-    return total
-
-
-def _binom_pmf(k: int, nn: int, p: float) -> float:
-    """C(nn, k) p^k (1-p)^(nn-k) without scipy, overflow-safe."""
-    if p <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if k == nn else 0.0
-    if nn <= 60:
-        return math.comb(nn, k) * p**k * (1.0 - p) ** (nn - k)
-    log_c = math.lgamma(nn + 1) - math.lgamma(k + 1) - math.lgamma(nn - k + 1)
-    return math.exp(log_c + k * math.log(p) + (nn - k) * math.log1p(-p))
 
 
 def rank_win_probability(
@@ -147,24 +115,6 @@ def rank_win_probability(
     if F == 0.0:
         return 0.0
     return prob_at_least_m_find(d, q, n, m, c_hat) / (n * F)
-
-
-def rank_win_probability_direct(
-    d: CostDistribution, q: float, n: int, m: int, c_hat: float
-) -> float:
-    """Double sum over rival searcher and finder counts (oracle form).
-
-    q * sum_k C(n-1,k) F^k (1-F)^{n-1-k} sum_t C(k,t) q^t (1-q)^{k-t}/(t+1)
-    with k >= m-1 and t in [m-1, k].
-    """
-    F = _check_rank_args(d, q, n, m, c_hat)
-    total = 0.0
-    for k in range(m - 1, n):
-        inner = 0.0
-        for t in range(m - 1, k + 1):
-            inner += _binom_pmf(t, k, q) / (t + 1.0)
-        total += _binom_pmf(k, n - 1, F) * inner
-    return q * total
 
 
 def _rival_finder_pmf(q: float, n: int, F: float) -> np.ndarray:
@@ -205,7 +155,6 @@ def equilibrium_roots_multi(
     n: int,
     structure: PrizeStructure,
     grid_size: int = 512,
-    tol: float = DEFAULT_TOL,
 ) -> list[float]:
     """All interior fixed points of c = expected_prize_per_searcher(c).
 
@@ -226,16 +175,14 @@ def equilibrium_roots_multi(
         fa, fb = float(vals[i]), float(vals[i + 1])
         if fa == 0.0:
             roots.append(a)
-        elif fa < 0.0 < fb:
-            roots.append(bisect_root(gap, a, b, tol))
-        elif fa > 0.0 > fb:
-            roots.append(bisect_root_decreasing(gap, a, b, tol))
+        elif min(fa, fb) < 0.0 < max(fa, fb):
+            roots.append(bisect_root(gap, a, b))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     # Deduplicate near-identical roots from flat stretches.
     out: list[float] = []
     for r in roots:
-        if not out or abs(r - out[-1]) > 10.0 * max(tol, 1e-12):
+        if not out or abs(r - out[-1]) > 1e-11:
             out.append(r)
     return out
 
@@ -245,7 +192,6 @@ def solve_threshold_multi(
     q: float,
     n: int,
     structure: PrizeStructure,
-    tol: float = DEFAULT_TOL,
 ) -> EquilibriumResult:
     """Equilibrium cutoff under a rank-ordered prize structure.
 
@@ -264,7 +210,7 @@ def solve_threshold_multi(
     elif m_map(hi) >= hi:
         c, interior = hi, False
     else:
-        roots = equilibrium_roots_multi(d, q, n, structure, tol=tol)
+        roots = equilibrium_roots_multi(d, q, n, structure)
         if not roots:
             raise ConvergenceError("no equilibrium root found despite interior endpoints")
         c, interior = roots[0], True
@@ -280,16 +226,14 @@ def solve_threshold_multi(
     )
 
 
-def achievable_interval(
-    d: CostDistribution, q: float, n: int, V: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def achievable_interval(d: CostDistribution, q: float, n: int, V: float) -> tuple[float, float]:
     """Cutoffs reachable by some prize structure with purse V.
 
     The equal split gives the lowest cutoff (V q / n when interior) and
     winner-takes-all the highest (the baseline c*(V)).
     """
-    lo_res = solve_threshold_multi(d, q, n, PrizeStructure.equal_split(V, n), tol)
-    hi_res = solve_threshold(d, ContestConfig(n=float(n), q=q, V=V), tol)
+    lo_res = solve_threshold_multi(d, q, n, PrizeStructure.equal_split(V, n))
+    hi_res = solve_threshold(d, ContestConfig(n=float(n), q=q, V=V))
     return (lo_res.threshold, hi_res.threshold)
 
 
@@ -299,12 +243,10 @@ def principal_value_multi(
     n: int,
     W: float,
     structure: PrizeStructure,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Designer's expected payoff W*P - payouts at the induced equilibrium."""
-    if not (W > 0.0 and math.isfinite(W)):
-        raise InputError(f"W must be positive and finite, got {W}")
-    res = solve_threshold_multi(d, q, n, structure, tol)
+    check_positive("W", W)
+    res = solve_threshold_multi(d, q, n, structure)
     return W * res.success_prob - expected_payout(d, q, n, structure, res.threshold)
 
 
@@ -325,7 +267,6 @@ def optimal_prize_structure(
     n: int,
     W: float,
     V: float,
-    tol: float = DEFAULT_TOL,
 ) -> StructureSolution:
     """Best prize structure with purse V for a designer with stakes W.
 
@@ -335,10 +276,9 @@ def optimal_prize_structure(
     cutoff with a winner-takes-all / equal-split mix. The mix weight
     solves lam*V*Phi1(c) + (1-lam)*V*q/n = c at the target cutoff.
     """
-    if not (V > 0.0 and math.isfinite(V)):
-        raise InputError(f"V must be positive and finite, got {V}")
-    a, b = achievable_interval(d, q, n, V, tol)
-    base = optimal_prize(d, q, n, W, tol)
+    check_positive("V", V)
+    a, b = achievable_interval(d, q, n, V)
+    base = optimal_prize(d, q, n, W)
     certified = base.certified
     if certified:
         target = min(max(base.threshold, a), b)
@@ -363,7 +303,7 @@ def optimal_prize_structure(
             )
         weight, regime = numer / denom, "interior-mix"
     structure = PrizeStructure.mixed(V, n, weight)
-    value = principal_value_multi(d, q, n, W, structure, tol)
+    value = principal_value_multi(d, q, n, W, structure)
     window = (
         stakes_for_threshold(d, q, float(n), a),
         stakes_for_threshold(d, q, float(n), b),

@@ -11,8 +11,8 @@ whose interior maximizer solves c = optimality_map(c) with
     optimality_map(c) = W q (1 - q F(c))^{n-1} - F(c)/f(c).
 
 A nondecreasing reverse-hazard ratio F/f makes the fixed point unique;
-``optimal_prize`` checks that diagnostic and falls back to certified=False
-grid maximization when it fails.
+``optimal_prize`` checks that condition exactly and falls back to
+certified=False grid maximization when it fails.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import InputError
-from ._numerics import DEFAULT_TOL, bisect_root_decreasing, compl_pow
+from ._errors import InputError, check_find_probability, check_positive
+from ._numerics import compl_pow, solve_cutoff
 from .distributions import CostDistribution, check_reverse_hazard_monotone
 from .equilibrium import ContestConfig, win_probability
 
@@ -47,20 +47,16 @@ class GridCheck:
 
 
 def _check_args(q: float, n: float, W: float) -> None:
-    if not (0.0 < q <= 1.0):
-        raise InputError(f"q must lie in (0, 1], got {q}")
+    check_find_probability(q)
     if not (n >= 1.0 and math.isfinite(n)):
         raise InputError(f"n must be a finite real >= 1, got {n}")
-    if not (W > 0.0 and math.isfinite(W)):
-        raise InputError(f"W must be positive and finite, got {W}")
+    check_positive("W", W)
 
 
 def objective(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
     """Designer profit (net of the constant W) at cutoff c_hat."""
     _check_args(q, n, W)
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    d._check_in_support(c_hat)
     F = d.cdf(c_hat)
     return -W * compl_pow(q * F, n) - n * c_hat * F
 
@@ -72,9 +68,7 @@ def optimality_map(d: CostDistribution, q: float, n: float, W: float, c_hat: flo
     Raises where the density is zero with F > 0 (ratio undefined).
     """
     _check_args(q, n, W)
-    lo, hi = d.support()
-    if not (lo <= c_hat <= hi):
-        raise InputError(f"c_hat = {c_hat} outside support [{lo}, {hi}]")
+    d._check_in_support(c_hat)
     F = d.cdf(c_hat)
     if F == 0.0:
         return W * q
@@ -141,16 +135,15 @@ def optimal_prize(
     q: float,
     n: float,
     W: float,
-    tol: float = DEFAULT_TOL,
 ) -> PrizeSolution:
     """Profit-maximizing prize and the cutoff it induces.
 
     Interior case: bisection on optimality_map(c) - c, which is strictly
     decreasing when F/f is nondecreasing. The implied prize is
-    c*/win_probability(c*). Boundary stakes give the clamped cutoffs.
+    c*/win_probability(c*). Stakes outside stakes_window clamp the cutoff
+    to the matching support endpoint.
     """
     _check_args(q, n, W)
-    lo, hi = d.support()
     ok, _ = check_reverse_hazard_monotone(d)
     if not ok:
         c = _grid_maximize(d, q, n, W)
@@ -162,16 +155,12 @@ def optimal_prize(
             objective_value=objective(d, q, n, W, c),
             certified=False,
         )
-    w_lo, w_hi = stakes_window(d, q, n)
-    if W <= w_lo:
-        c, regime = lo, "lower-boundary"
-    elif W >= w_hi:
-        c, regime = hi, "upper-boundary"
-    else:
-        c = bisect_root_decreasing(
-            lambda t: optimality_map(d, q, n, W, t) - t, lo, hi, tol
-        )
+    lo, hi = d.support()
+    c, interior = solve_cutoff(lambda t: optimality_map(d, q, n, W, t), lo, hi)
+    if interior:
         regime = "interior"
+    else:
+        regime = "lower-boundary" if c == lo else "upper-boundary"
     return PrizeSolution(
         threshold=c,
         prize=_implied_prize(d, q, n, c),

@@ -171,3 +171,50 @@ def limit_success_lambertw(c_lo, q, V):
     kappa = limit_searchers_lambertw(c_lo, q, V)
     with mpmath.workdps(LIMIT_DPS):
         return -mpmath.expm1(-mpmath.mpf(q) * kappa)
+
+
+# Float versions of the rank-prize double sums, called like the library
+# functions they check: (distribution, q, n, m, cutoff).
+
+
+def prob_at_least_m_find_direct(d, q, n, m, c_hat):
+    """Literal double sum over searcher and finder counts (oracle form).
+
+    O(n^2); exact integer binomials up to n = 60, log-domain beyond.
+    """
+    F = d.cdf(c_hat)
+    total = 0.0
+    for k in range(m, n + 1):
+        inner = 0.0
+        for t in range(m, k + 1):
+            inner += _binom_pmf(t, k, q)
+        total += _binom_pmf(k, n, F) * inner
+    return total
+
+
+def _binom_pmf(k, nn, p):
+    """C(nn, k) p^k (1-p)^(nn-k) without scipy, overflow-safe."""
+    if p <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p >= 1.0:
+        return 1.0 if k == nn else 0.0
+    if nn <= 60:
+        return math.comb(nn, k) * p**k * (1.0 - p) ** (nn - k)
+    log_c = math.lgamma(nn + 1) - math.lgamma(k + 1) - math.lgamma(nn - k + 1)
+    return math.exp(log_c + k * math.log(p) + (nn - k) * math.log1p(-p))
+
+
+def rank_win_probability_direct(d, q, n, m, c_hat):
+    """Double sum over rival searcher and finder counts (oracle form).
+
+    q * sum_k C(n-1,k) F^k (1-F)^{n-1-k} sum_t C(k,t) q^t (1-q)^{k-t}/(t+1)
+    with k >= m-1 and t in [m-1, k].
+    """
+    F = d.cdf(c_hat)
+    total = 0.0
+    for k in range(m - 1, n):
+        inner = 0.0
+        for t in range(m - 1, k + 1):
+            inner += _binom_pmf(t, k, q) / (t + 1.0)
+        total += _binom_pmf(k, n - 1, F) * inner
+    return q * total

@@ -89,14 +89,15 @@ def test_finite_field_solves_approach_the_limits():
     # n F(c_n) = kappa - g/n + O(1/n^2), so it rises toward kappa from below,
     # n (kappa - n F(c_n)) settles at g (about 66.7 here), and the
     # Richardson extrapolate of two field sizes cancels the 1/n term.
-    # A cutoff solved to absolute tolerance tol moves n F(c_n) by up to
-    # n * tol, so the solves use 1e-15 (1e-9 at n = 1e6, far below the 1/n
-    # gap) and n stays at or below 1e6 (at the default 1e-12, n F(c_n)
-    # overshoots kappa by 3e-5 at n = 1e8).
-    ns = [1e4, 1e5, 1e6]
-    results = [solve_threshold(UQ, ContestConfig(n=n, q=0.5, V=1.0), 1e-15) for n in ns]
+    # The cutoffs are solved to float resolution; a cutoff off by an
+    # absolute 1e-12 would move n F(c_n) by up to n * 1e-12 and, from
+    # n = 1e7 on, swamp the 1/n gap (n F(c_n) would overshoot kappa by
+    # 3e-5 at n = 1e8).
+    ns = [1e4, 1e5, 1e6, 1e7, 1e8]
+    results = [solve_threshold(UQ, ContestConfig(n=n, q=0.5, V=1.0)) for n in ns]
     mass = [res.expected_searchers for res in results]
-    assert mass[0] < mass[1] < mass[2] < KAPPA_REF
+    assert all(a < b for a, b in zip(mass, mass[1:]))
+    assert mass[-1] < KAPPA_REF
     scaled_gaps = [n * (KAPPA_REF - m) for n, m in zip(ns, mass)]
     assert max(scaled_gaps) <= 1.01 * min(scaled_gaps)
     extrapolate = (ns[2] * mass[2] - ns[1] * mass[1]) / (ns[2] - ns[1])

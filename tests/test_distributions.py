@@ -20,6 +20,9 @@ KINKED_KNOTS = ((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0))
 # Zero-density stretch on [0.5, 0.7].
 FLAT_KNOTS = ((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.0, 1.0))
 
+# Slope rises by 0.1 % at c = 0.5, from 1 to 1.001.
+SMALL_RISE_KNOTS = ((0.0, 0.0), (0.5, 0.5), (0.5999, 0.6), (1.0, 1.0))
+
 
 # ----------------------------------------------------------------- Uniform
 
@@ -225,6 +228,17 @@ def test_reverse_hazard_monotone_spans_flat_stretch():
     assert ok and where is None
 
 
-def test_reverse_hazard_monotone_rejects_tiny_grid():
-    with pytest.raises(InputError):
-        check_reverse_hazard_monotone(Uniform(0.0, 1.0), grid_size=2)
+def test_reverse_hazard_monotone_catches_a_drop_between_samples():
+    # F/f drops from 0.5 to 0.4995 at c = 0.5, a drop that a 512-point
+    # sample of F/f misses.
+    d = PiecewiseLinear(SMALL_RISE_KNOTS)
+    ok, where = check_reverse_hazard_monotone(d)
+    assert not ok
+    assert where == (0.0, 0.5999)
+
+
+def test_reverse_hazard_monotone_passes_collinear_knots():
+    # Uniform on [0.25, 1.25] written as 11 knots; the slopes round to
+    # values up to 2e-15 apart, rising at some knots.
+    d = PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11)))
+    assert check_reverse_hazard_monotone(d) == (True, None)

@@ -188,6 +188,12 @@ def test_q_bound_monotone_success_known_values():
     assert q_bound_monotone_success(U01) == pytest.approx(0.5, abs=1e-9)
     assert q_bound_monotone_success(PowerLaw(2.0)) == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert q_bound_monotone_success(P20) == pytest.approx(1.0 / 21.0, abs=1e-9)
+    # alpha < 1: the density is unbounded at c = 0, but c*f(c) = alpha c^alpha
+    # is not, so the bound is 1 / (1 + alpha).
+    assert q_bound_monotone_success(PowerLaw(0.5)) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    # Piecewise-linear: the largest c_{i+1} * slope_i, here 0.6 * 5 = 3.
+    kinked = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0)))
+    assert q_bound_monotone_success(kinked) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_qf_cutoff_power_value_and_root_property():

@@ -13,9 +13,7 @@ from searchcontest.multiprize import (
     optimal_prize_structure,
     principal_value_multi,
     prob_at_least_m_find,
-    prob_at_least_m_find_direct,
     rank_win_probability,
-    rank_win_probability_direct,
     solve_threshold_multi,
 )
 
@@ -67,7 +65,7 @@ def test_structure_helpers():
 @pytest.mark.parametrize("F,q,n,m", DRAWS)
 def test_tail_probability_three_routes_agree(F, q, n, m):
     ratio = prob_at_least_m_find(U01, q, n, m, F)
-    direct = prob_at_least_m_find_direct(U01, q, n, m, F)
+    direct = oracles.prob_at_least_m_find_direct(U01, q, n, m, F)
     exact = oracles.at_least_m_sum(F, q, n, m)
     assert ratio == pytest.approx(exact, abs=1e-13)
     assert direct == pytest.approx(exact, abs=1e-13)
@@ -87,7 +85,7 @@ def test_tail_monotone_in_rank():
 @pytest.mark.parametrize("F,q,n,m", DRAWS)
 def test_rank_win_three_routes_agree(F, q, n, m):
     ratio = rank_win_probability(U01, q, n, m, F)
-    direct = rank_win_probability_direct(U01, q, n, m, F)
+    direct = oracles.rank_win_probability_direct(U01, q, n, m, F)
     exact = oracles.rank_win_sum(F, q, n, m)
     assert ratio == pytest.approx(exact, abs=1e-13)
     assert direct == pytest.approx(exact, abs=1e-13)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,10 @@ import oracles
 from searchcontest._errors import ConvergenceError
 from searchcontest._numerics import (
     bisect_root,
-    bisect_root_decreasing,
     compl_pow,
     log_log_slope,
     prob_any,
+    solve_cutoff,
     win_rate,
     win_rate_deficit,
 )
@@ -96,7 +97,7 @@ def test_win_rate_deficit_identity(x, n):
 
 
 def test_bisect_root_linear():
-    assert bisect_root(lambda t: t - 0.3, 0.0, 1.0, 1e-14) == pytest.approx(0.3, abs=1e-13)
+    assert bisect_root(lambda t: t - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-13)
 
 
 def test_bisect_root_returns_exact_endpoint_roots():
@@ -109,18 +110,53 @@ def test_bisect_root_requires_bracket():
         bisect_root(lambda t: t + 1.0, 0.0, 1.0)
     with pytest.raises(ConvergenceError):
         bisect_root(lambda t: t - 2.0, 0.0, 1.0)
+    # No sign change in the falling orientation either.
+    with pytest.raises(ConvergenceError):
+        bisect_root(lambda t: -(t + 1.0), 0.0, 1.0)
+    with pytest.raises(ConvergenceError):
+        bisect_root(lambda t: 2.0 - t, 0.0, 1.0)
 
 
-def test_bisect_root_decreasing():
-    root = bisect_root_decreasing(lambda t: 0.7 - t, 0.0, 1.0, 1e-14)
+def test_bisect_root_on_a_falling_function():
+    root = bisect_root(lambda t: 0.7 - t, 0.0, 1.0)
     assert root == pytest.approx(0.7, abs=1e-13)
 
 
 def test_bisect_root_handles_float_resolution_bracket():
-    # Bracket collapses to adjacent doubles; must terminate, not loop.
+    # The bracket collapses to adjacent doubles around the root, whichever
+    # way fn crosses zero; the loop must stop there, not spin.
     target = 1.0 / 3.0
-    root = bisect_root(lambda t: t - target, 0.0, 1.0, 0.0)
-    assert root == pytest.approx(target, abs=1e-15)
+    for sign in (1.0, -1.0):
+        root = bisect_root(lambda t: sign * (t - target), 0.0, 1.0)
+        assert abs(root - target) <= math.ulp(target)
+
+
+def test_solve_cutoff_clamps_at_either_endpoint():
+    # value(lo) <= lo: nobody searches.
+    assert solve_cutoff(lambda c: 0.2 - c, 0.5, 1.0) == (0.5, False)
+    assert solve_cutoff(lambda c: 0.5, 0.5, 1.0) == (0.5, False)
+    # value(hi) >= hi: everybody searches.
+    assert solve_cutoff(lambda c: 2.0 - c, 0.0, 1.0) == (1.0, False)
+    assert solve_cutoff(lambda c: 1.0, 0.0, 1.0) == (1.0, False)
+
+
+def test_solve_cutoff_interior_root():
+    c, interior = solve_cutoff(lambda c: 0.6 * (1.0 - c), 0.0, 1.0)
+    assert interior
+    assert c == pytest.approx(0.375, abs=1e-15)
+
+
+def test_solve_cutoff_root_between_adjacent_doubles():
+    # value steps down at 1/3, which no double equals, so c - value(c)
+    # changes sign between the two doubles around 1/3; the solve must
+    # return one of them.
+    third = Fraction(1, 3)
+    below = float(third)
+    above = math.nextafter(below, 1.0)
+    assert Fraction(below) < third < Fraction(above)
+    c, interior = solve_cutoff(lambda t: 0.0 if Fraction(t) > third else 1.0, 0.0, 1.0)
+    assert interior
+    assert c in (below, above)
 
 
 def test_log_log_slope_recovers_power_law():

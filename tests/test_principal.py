@@ -146,6 +146,16 @@ def test_non_monotone_ratio_falls_back_to_grid():
     assert verify_against_grid(NON_MONOTONE, 0.8, 4.0, 2.0).ok
 
 
+def test_small_slope_rise_is_not_certified():
+    # Slopes 1 -> 1.001 at c = 0.5: F/f drops there by 1e-3 relative, so
+    # the fixed point is not known to be unique and the solve must fall
+    # back to the grid instead of certifying an interior root.
+    d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.5999, 0.6), (1.0, 1.0)))
+    sol = optimal_prize(d, 0.8, 3, 2)
+    assert sol.regime == "grid-fallback"
+    assert not sol.certified
+
+
 def test_huge_field_interior_solve():
     sol = optimal_prize(Uniform(0.25, 1.25), 0.5, 1e5, 2.0)
     assert sol.regime == "interior"
