@@ -28,3 +28,15 @@ def check_positive(name: str, value: float) -> None:
     """Reject a prize or stake that is not positive and finite."""
     if not (value > 0.0 and math.isfinite(value)):
         raise InputError(f"{name} must be positive and finite, got {value}")
+
+
+def check_find_probabilities(values) -> None:
+    """Reject a vector of per-agent find probabilities outside (0, 1]."""
+    if any(not (0.0 < v <= 1.0) for v in values):
+        raise InputError("every find probability must lie in (0, 1]")
+
+
+def check_expert_probability(q_e: float) -> None:
+    """Reject an expert find probability outside [0, 1]."""
+    if not (0.0 <= q_e <= 1.0):
+        raise InputError(f"expert find probability must lie in [0, 1], got {q_e}")

@@ -167,6 +167,8 @@ class PiecewiseLinear(CostDistribution):
             raise InputError("piecewise-linear CDF needs at least 2 knots")
         c = np.array([p[0] for p in pts])
         F = np.array([p[1] for p in pts])
+        if not np.all(np.isfinite(pts)):
+            raise InputError("knots must be finite")
         if c[0] < 0.0 or np.any(np.diff(c) <= 0.0):
             raise InputError("knot abscissae must be nonnegative and strictly increasing")
         if abs(F[0]) > 1e-12 or abs(F[-1] - 1.0) > 1e-12:

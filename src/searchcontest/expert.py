@@ -15,7 +15,7 @@ crowd agent.
 
 from __future__ import annotations
 
-from ._errors import InputError, check_find_probability
+from ._errors import InputError, check_expert_probability, check_find_probability
 from ._numerics import solve_cutoff, win_rate_deficit
 from .distributions import CostDistribution
 from .equilibrium import (
@@ -27,11 +27,6 @@ from .equilibrium import (
 )
 
 MODES = ("shared", "expert_keeps")
-
-
-def _check_qe(q_e: float) -> None:
-    if not (0.0 <= q_e <= 1.0):
-        raise InputError(f"expert find probability must lie in [0, 1], got {q_e}")
 
 
 def win_probability_vs_certain_expert(
@@ -58,7 +53,7 @@ def win_probability_with_expert(
     Mixture over whether the expert finds; at F = 0 it equals
     q*(1 - q_e/2).
     """
-    _check_qe(q_e)
+    check_expert_probability(q_e)
     cfg = ContestConfig(n=n, q=q, V=1.0)  # V unused by win_probability
     base = win_probability(d, cfg, c_hat)
     if q_e == 0.0:
@@ -87,7 +82,7 @@ def solve_threshold_expert(
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_qe(q_e)
+    check_expert_probability(q_e)
     cfg = ContestConfig(n=n, q=q, V=V)
 
     if mode == "shared":

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
+from ._errors import (
+    ConvergenceError, InputError, check_find_probabilities, check_find_probability, check_positive,
+)
 from ._numerics import bisect_root, solve_cutoff
 from .distributions import CostDistribution, check_reverse_hazard_monotone
 from .equilibrium import ContestConfig, solve_threshold
@@ -50,8 +52,7 @@ class HeteroContest:
         q = [float(v) for v in self.q_values]
         if len(q) < 1:
             raise InputError("need at least one agent")
-        if any(not (0.0 < v <= 1.0) for v in q):
-            raise InputError("every find probability must lie in (0, 1]")
+        check_find_probabilities(q)
         check_positive("V", self.V)
         perm = sorted(range(len(q)), key=lambda i: -q[i])
         object.__setattr__(self, "q_values", tuple(q[i] for i in perm))

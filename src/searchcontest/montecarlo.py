@@ -1,17 +1,25 @@
 """Simulation cross-checks for the closed-form contest quantities.
 
-Replications are drawn in fixed-size chunks, each chunk from its own
-counter-based substream (Philox keyed by the master seed and the chunk
-index), so results are bit-identical for a given (seed, replications,
-config) regardless of how chunks might be scheduled. Estimates come with
-standard errors; the pooled per-searcher rates use the delta-method SE for
-a ratio of replication-level totals.
+Every replication runs through two private helpers. `_chunks` draws the
+replications in fixed-size chunks, each chunk from its own counter-based
+substream (Philox keyed by the master seed and the chunk index), so
+results are bit-identical for a given (seed, replications, config)
+regardless of how chunks might be scheduled. `_play` decides each chunk's
+contest: who found the object, who wins the prize (uniform tie-break,
+outside expert) or which rank each finder takes (rank prizes).
 
 Each agent consumes a single uniform u per replication: search happens iff
 u < F(threshold), the object is found iff u < q F(threshold) (the correct
 nested joint for search-then-find), and conditional on finding u / (q F)
 is again uniform and independent across finders, so its argmax implements
-the uniform tie-break among finders exactly.
+the uniform tie-break among finders exactly. The expert draws one more
+uniform w per replication and finds iff w < q_e, with tie-break score
+w / q_e.
+
+`simulate` accumulates success and win rates with standard errors; the
+pooled per-searcher rates use the delta-method SE for a ratio of
+replication-level totals. `deviation_gain` is the same play with the
+tagged agent (column 0) searching for sure.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._errors import InputError
+from ._errors import InputError, check_expert_probability, check_find_probabilities
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig
 from .multiprize import PrizeStructure
@@ -41,8 +49,7 @@ class WithExpert:
     mode: str = "shared"  # "shared" | "expert_keeps"
 
     def __post_init__(self):
-        if not (0.0 <= self.q_e <= 1.0):
-            raise InputError(f"q_e must lie in [0, 1], got {self.q_e}")
+        check_expert_probability(self.q_e)
         if self.mode not in ("shared", "expert_keeps"):
             raise InputError(f"unknown expert mode {self.mode!r}")
 
@@ -57,8 +64,7 @@ class PerAgentFind:
     q_values: tuple[float, ...]
 
     def __post_init__(self):
-        if any(not (0.0 < v <= 1.0) for v in self.q_values):
-            raise InputError("every find probability must lie in (0, 1]")
+        check_find_probabilities(self.q_values)
 
 
 Variant = Union[Baseline, WithExpert, RankPrizes, PerAgentFind]
@@ -107,7 +113,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
-    """Validate and normalize (n, thresholds, per-agent q, prizes)."""
+    """Validate and normalize (n, thresholds, F(thresholds), per-agent q, prizes)."""
     n = int(cfg.n)
     if n != cfg.n:
         raise InputError("simulation needs an integer field size n")
@@ -119,7 +125,7 @@ def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
         if thr.shape != (n,):
             raise InputError(f"expected {n} thresholds, got shape {thr.shape}")
     lo, hi = d.support()
-    if np.any((thr < lo) | (thr > hi)):
+    if not np.all((thr >= lo) & (thr <= hi)):
         raise InputError("thresholds must lie inside the support")
 
     variant = sim.variant
@@ -138,87 +144,82 @@ def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
         prizes = np.asarray(variant.structure.values, dtype=float)
     else:
         prizes = None
-    return n, thr, q_arr, prizes
+    F_thr = np.array([d.cdf(float(t)) for t in thr])
+    return n, thr, F_thr, q_arr, prizes
+
+
+def _chunks(sim: SimConfig, n: int):
+    """Yield each chunk's draws: agent uniforms u (m x n), then the expert's
+    uniforms w (m) for `WithExpert` and None otherwise."""
+    reps = int(sim.replications)
+    with_expert = isinstance(sim.variant, WithExpert)
+    for chunk_index, done in enumerate(range(0, reps, CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, reps - done)
+        rng = _chunk_rng(sim.seed, chunk_index)
+        u = rng.random((m, n))
+        yield u, rng.random(m) if with_expert else None
+
+
+def _play(u, w, qF, variant, prizes):
+    """Decide one chunk's contests; overwrites u with tie-break scores,
+    u / (q F) for finders and -1 for everyone else.
+
+    Returns (found, success, outcome). For rank prizes the outcome is each
+    agent's 0-based rank among the finders (non-finders rank last);
+    otherwise it is (winner, crowd_wins): the crowd's best finder and
+    whether the crowd keeps the prize.
+    """
+    found = u < qF
+    u *= np.divide(1.0, qF, out=np.zeros_like(qF), where=qF > 0.0)
+    np.putmask(u, ~found, -1.0)
+    success = found.any(axis=1)
+    if prizes is not None:
+        return found, success, np.argsort(np.argsort(-u, axis=1), axis=1)
+
+    crowd_wins = success
+    if w is not None:
+        expert_found = w < variant.q_e
+        success = success | expert_found
+        if variant.mode == "expert_keeps":
+            crowd_wins = crowd_wins & ~expert_found
+        elif variant.q_e > 0.0:
+            # The expert joins the tie-break when they find.
+            crowd_wins = crowd_wins & (~expert_found | (u.max(axis=1) > w / variant.q_e))
+    return found, success, (u.argmax(axis=1), crowd_wins)
 
 
 def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEstimate:
     """Run the contest sim.replications times and aggregate outcomes."""
-    n, thr, q_arr, prizes = _resolve(d, cfg, sim)
-    variant = sim.variant
+    n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
     reps = int(sim.replications)
-    V = cfg.V
-    F_thr = np.array([d.cdf(float(t)) for t in thr])
     qF = q_arr * F_thr
-    inv_qF = np.where(qF > 0.0, 1.0 / np.where(qF > 0.0, qF, 1.0), 0.0)
-    # With a common qF, winner/rank order is scale-invariant so the raw u
-    # works; the expert comparison needs the rescaled U[0,1) conditional law.
-    rescale = isinstance(variant, WithExpert) or not bool(np.all(qF == qF[0]))
 
     # Accumulators. X = per-replication searcher payout events, S = number
     # of searchers; their cross moments feed the ratio-estimator SEs.
     found_total = 0.0
     agent_wins = np.zeros(n)
-    agent_searches = np.zeros(n)
+    rank_counts = np.zeros((n, n)) if prizes is not None else None  # agent x rank
     sum_X = sum_S = sum_XX = sum_SS = sum_XS = 0.0
     sum_pay = sum_pay_sq = sum_pay_S = 0.0  # per-replication prize totals
     sum_thr_searched = 0.0  # sum of thresholds over searching agents
-    rank_counts = np.zeros((n, n)) if prizes is not None else None
-    pooled_rank = np.zeros(n) if prizes is not None else None
 
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        m = min(CHUNK_SIZE, reps - done)
-        rng = _chunk_rng(sim.seed, chunk_index)
-        u = rng.random((m, n))
-        searched = u < F_thr[None, :]
-        found = u < qF[None, :]
-
-        if isinstance(variant, WithExpert):
-            w = rng.random(m)
-            expert_found = w < variant.q_e
-            expert_score = np.where(expert_found, w / variant.q_e, -1.0) \
-                if variant.q_e > 0.0 else np.full(m, -1.0)
-        else:
-            expert_found = None
-
-        any_crowd = found.any(axis=1)
-        if expert_found is None:
-            success = any_crowd
-        else:
-            success = any_crowd | expert_found
+    for u, w in _chunks(sim, n):
+        searched = u < F_thr
+        found, success, outcome = _play(u, w, qF, sim.variant, prizes)
         found_total += float(np.count_nonzero(success))
-
-        masked = np.where(found, u * inv_qF[None, :] if rescale else u, -1.0)
         if prizes is None:
-            if expert_found is None:
-                crowd_wins_row = any_crowd
-            elif variant.mode == "shared":
-                # Expert competes in the tie-break when they find.
-                best = masked.max(axis=1)
-                crowd_wins_row = any_crowd & (~expert_found | (best > expert_score))
-            else:
-                # Expert keeps the prize whenever they find it.
-                crowd_wins_row = any_crowd & ~expert_found
-            winner_idx = masked.argmax(axis=1)
-            X = crowd_wins_row.astype(float)
-            pay = V * X
-            np.add.at(agent_wins, winner_idx[crowd_wins_row], 1.0)
+            winner, crowd_wins = outcome
+            X = crowd_wins.astype(float)
+            pay = cfg.V * X
+            agent_wins += np.bincount(winner[crowd_wins], minlength=n)
         else:
-            # Rank finders by score; non-finders sort last with score -1.
-            order = np.argsort(-masked, axis=1)
-            position = np.argsort(order, axis=1)  # 0-based rank if found
-            prize_got = np.where(found, prizes[np.minimum(position, n - 1)], 0.0)
             X = found.sum(axis=1).astype(float)  # finders all get some rank
-            pay = prize_got.sum(axis=1)
-            rank_of_finder = position[found]
-            agent_of_finder = np.broadcast_to(np.arange(n), (m, n))[found]
-            np.add.at(rank_counts, (agent_of_finder, rank_of_finder), 1.0)
-            pooled_rank += np.bincount(rank_of_finder, minlength=n)
+            pay = (prizes[outcome] * found).sum(axis=1)
+            cells = (np.arange(n) * n + outcome)[found]
+            rank_counts += np.bincount(cells, minlength=n * n).reshape(n, n)
 
         S = searched.sum(axis=1).astype(float)
         searched_per_agent = searched.sum(axis=0)
-        agent_searches += searched_per_agent
         sum_X += float(X.sum())
         sum_S += float(S.sum())
         sum_XX += float((X * X).sum())
@@ -229,15 +230,12 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
         sum_pay_S += float((pay * S).sum())
         sum_thr_searched += float(searched_per_agent @ thr)
 
-        done += m
-        chunk_index += 1
-
     N = float(reps)
     p_success = found_total / N
     success_se = math.sqrt(max(p_success * (1.0 - p_success), 0.0) / N)
 
     if prizes is not None:
-        agent_wins = rank_counts[:, 0].copy()
+        agent_wins = rank_counts[:, 0]
     win_rate = agent_wins / N
     win_se = np.sqrt(np.maximum(win_rate * (1.0 - win_rate), 0.0) / N)
 
@@ -249,27 +247,15 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
         sum_pay, sum_S, sum_pay_sq, sum_SS, sum_pay_S, N
     )
     mean_thr = sum_thr_searched / sum_S if sum_S > 0.0 else 0.0
-    mean_payoff = pay_ratio - mean_thr
 
+    rank_fields = {}
     if prizes is not None:
-        rank_matrix = rank_counts / N
-        pooled = np.empty(n)
-        pooled_se = np.empty(n)
-        for r in range(n):
-            pooled[r], pooled_se[r] = _bernoulli_ratio(pooled_rank[r], sum_S, N)
-        return SimEstimate(
-            success_rate=p_success,
-            success_se=success_se,
-            searcher_win_rate=win_ratio,
-            searcher_win_se=win_ratio_se,
-            win_rate_per_agent=win_rate,
-            win_rate_per_agent_se=win_se,
-            mean_payoff_at_threshold=mean_payoff,
-            mean_payoff_se=pay_ratio_se,
-            replications=reps,
-            rank_win_rates=rank_matrix,
+        # Every searcher is counted in sum_S, so it is 0 or at least 1.
+        pooled = rank_counts.sum(axis=0) / max(sum_S, 1.0)
+        rank_fields = dict(
+            rank_win_rates=rank_counts / N,
             searcher_rank_rates=pooled,
-            searcher_rank_se=pooled_se,
+            searcher_rank_se=np.sqrt(pooled * (1.0 - pooled) / max(sum_S, 1.0)),
         )
     return SimEstimate(
         success_rate=p_success,
@@ -278,9 +264,10 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
         searcher_win_se=win_ratio_se,
         win_rate_per_agent=win_rate,
         win_rate_per_agent_se=win_se,
-        mean_payoff_at_threshold=mean_payoff,
+        mean_payoff_at_threshold=pay_ratio - mean_thr,
         mean_payoff_se=pay_ratio_se,
         replications=reps,
+        **rank_fields,
     )
 
 
@@ -298,14 +285,6 @@ def _ratio_estimate(sx, ss, sxx, sss, sxs, N):
     return ratio, math.sqrt(max(var_ratio, 0.0))
 
 
-def _bernoulli_ratio(successes: float, trials: float, N: float):
-    """Rate and a binomial-style SE for pooled per-searcher counts."""
-    if trials <= 0.0:
-        return 0.0, 0.0
-    p = successes / trials
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-
 def deviation_gain(
     d: CostDistribution,
     cfg: ContestConfig,
@@ -320,82 +299,29 @@ def deviation_gain(
     equilibrium cutoff this should be statistically indistinguishable
     from zero.
     """
-    n, thr, q_arr, prizes = _resolve(d, cfg, sim)
-    variant = sim.variant
-    reps = int(sim.replications)
-    V = cfg.V
-    lo, hi = d.support()
-    if not (lo <= at_cost <= hi):
-        raise InputError(f"at_cost = {at_cost} outside support [{lo}, {hi}]")
-
-    F_thr = np.array([d.cdf(float(t)) for t in thr])
+    n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
+    d._check_in_support(at_cost)
+    # The tagged agent always searches, so their find chance is the bare q.
     qF = q_arr * F_thr
-    # The tagged agent (column 0) always searches, so their find chance is
-    # the bare q rather than q F.
-    qF_tagged = qF.copy()
-    qF_tagged[0] = q_arr[0]
-    inv_qF = np.where(qF_tagged > 0.0, 1.0 / np.where(qF_tagged > 0.0, qF_tagged, 1.0), 0.0)
-    rival_inv = inv_qF[1:]
-    # Rivals sharing one qF can be reduced in the raw u scale and rescaled
-    # once after the row max.
-    common_rival = rival_inv.size == 0 or bool(np.all(rival_inv == rival_inv[0]))
+    qF[0] = q_arr[0]
 
     sum_prize = 0.0
     sum_prize_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        m = min(CHUNK_SIZE, reps - done)
-        rng = _chunk_rng(sim.seed, chunk_index)
-        u = rng.random((m, n))
-        found = u < qF_tagged[None, :]
-
-        if isinstance(variant, WithExpert):
-            w = rng.random(m)
-            expert_found = w < variant.q_e
-            expert_score = np.where(expert_found, w / variant.q_e, -1.0) \
-                if variant.q_e > 0.0 else np.full(m, -1.0)
-        else:
-            expert_found = None
-
+    for u, w in _chunks(sim, n):
+        found, _, outcome = _play(u, w, qF, sim.variant, prizes)
         if prizes is None:
-            tagged_score = np.where(found[:, 0], u[:, 0] * inv_qF[0], -1.0)
-            if rival_inv.size == 0:
-                rival_best = np.full(m, -1.0)
-            elif common_rival:
-                rival_best = np.where(found[:, 1:], u[:, 1:], -1.0).max(axis=1)
-                rival_best *= float(rival_inv[0])
-            else:
-                rival_best = np.where(
-                    found[:, 1:], u[:, 1:] * rival_inv[None, :], -1.0
-                ).max(axis=1)
-            tagged_best = found[:, 0] & (tagged_score > rival_best)
-            if expert_found is None:
-                tagged_wins = tagged_best
-            elif variant.mode == "shared":
-                tagged_wins = tagged_best & (
-                    ~expert_found | (tagged_score > expert_score)
-                )
-            else:
-                tagged_wins = tagged_best & ~expert_found
-            prize_tagged = V * tagged_wins.astype(float)
+            winner, crowd_wins = outcome
+            prize_tagged = cfg.V * (crowd_wins & (winner == 0))
         else:
-            masked = np.where(found, u * inv_qF[None, :], -1.0)
-            order = np.argsort(-masked, axis=1)
-            position = np.argsort(order, axis=1)
-            prize_tagged = np.where(
-                found[:, 0], prizes[np.minimum(position[:, 0], n - 1)], 0.0
-            )
+            prize_tagged = prizes[outcome[:, 0]] * found[:, 0]
         sum_prize += float(prize_tagged.sum())
         sum_prize_sq += float((prize_tagged * prize_tagged).sum())
-        done += m
-        chunk_index += 1
 
-    N = float(reps)
+    N = float(sim.replications)
     mean_prize = sum_prize / N
     var = max(sum_prize_sq / N - mean_prize**2, 0.0)
     return GainEstimate(
         value=mean_prize - at_cost,
         std_error=math.sqrt(var / N),
-        replications=reps,
+        replications=int(sim.replications),
     )

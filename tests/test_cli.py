@@ -246,6 +246,22 @@ def test_validation_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_knot_exits_two(capsys):
+    dist = '{"kind":"piecewise_linear","knots":[[0,0],[NaN,0.5],[1,1]]}'
+    code = cli.main(["solve", "--dist", dist, "--q", "0.5", "--V", "1", "--n", "5"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nan_threshold_exits_two(capsys):
+    argv = [
+        "simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "5",
+        "--reps", "1000", "--threshold", "NaN",
+    ]
+    assert cli.main(argv) == 2
+    assert "support" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -167,6 +167,19 @@ def test_piecewise_rejects_bad_knots(knots):
         PiecewiseLinear(tuple(knots))
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        ((0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)),
+        ((0.0, 0.0), (0.5, math.nan), (1.0, 1.0)),
+        ((0.0, 0.0), (0.5, 0.5), (math.inf, 1.0)),
+    ],
+)
+def test_piecewise_rejects_non_finite_knots(knots):
+    with pytest.raises(InputError, match="finite"):
+        PiecewiseLinear(knots)
+
+
 # ------------------------------------------------------------ spec round trip
 
 

@@ -31,6 +31,9 @@ from searchcontest.multiprize import (
     solve_threshold_multi,
 )
 
+# In-place tie-break scoring must never compute 0 * inf or w / 0.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 U01 = Uniform(0.0, 1.0)
 REPS = 200_000
 
@@ -75,6 +78,14 @@ def test_simulate_validation():
         simulate(U01, cfg, SimConfig(10, 1, 0.5, RankPrizes(V4)))
 
 
+def test_nan_threshold_is_rejected():
+    cfg = ContestConfig(n=3.0, q=0.5, V=1.0)
+    with pytest.raises(InputError, match="support"):
+        simulate(U01, cfg, SimConfig(10, 1, math.nan))
+    with pytest.raises(InputError, match="support"):
+        deviation_gain(U01, cfg, SimConfig(10, 1, (0.5, math.nan, 0.5)), at_cost=0.5)
+
+
 def test_deviation_cost_must_lie_in_support():
     cfg = ContestConfig(n=3.0, q=0.5, V=1.0)
     with pytest.raises(InputError):
@@ -84,17 +95,59 @@ def test_deviation_cost_must_lie_in_support():
 # ------------------------------------------------------------- determinism
 
 
-def test_same_seed_reproduces_bit_identical_estimates():
-    cfg = ContestConfig(n=4.0, q=0.5, V=1.0)
-    sim = SimConfig(5000, 99, 0.3, RankPrizes(V4))
-    a = simulate(U01, cfg, sim)
-    b = simulate(U01, cfg, sim)
+VARIANTS = {
+    "baseline": (0.3, Baseline()),
+    "expert": (0.3, WithExpert(0.3, "shared")),
+    "rank": (0.3, RankPrizes(V4)),
+    "per_agent": ((0.4, 0.3, 0.2, 0.1), PerAgentFind((0.9, 0.6, 0.5, 0.3))),
+}
+
+
+def assert_same_fields(a, b):
     for field in dataclasses.fields(a):
         va, vb = getattr(a, field.name), getattr(b, field.name)
         if isinstance(va, np.ndarray):
             assert np.array_equal(va, vb)
         else:
             assert va == vb
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_same_seed_reproduces_bit_identical_estimates(variant):
+    cfg = ContestConfig(n=4.0, q=0.5, V=1.0)
+    thresholds, v = VARIANTS[variant]
+    sim = SimConfig(CHUNK_SIZE + 3, 99, thresholds, v)
+    assert_same_fields(simulate(U01, cfg, sim), simulate(U01, cfg, sim))
+    assert_same_fields(
+        deviation_gain(U01, cfg, sim, 0.25), deviation_gain(U01, cfg, sim, 0.25)
+    )
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        Baseline(),
+        WithExpert(0.3, "shared"),
+        WithExpert(0.3, "expert_keeps"),
+        RankPrizes(V4),
+        PerAgentFind((0.9, 0.6, 0.5, 0.3)),
+    ],
+)
+def test_deviation_gain_is_simulate_with_a_sure_searcher(variant):
+    # On the same draws, a tagged agent whose threshold is the top of the
+    # support always searches, so its prize in `simulate` is the prize that
+    # `deviation_gain` pays.
+    cfg = ContestConfig(n=4.0, q=0.5, V=1.3)
+    thresholds = (0.4, 0.3, 0.2, 0.1)
+    cost = 0.25
+    gain = deviation_gain(U01, cfg, SimConfig(20_000, 41, thresholds, variant), cost)
+    tagged_sure = SimConfig(20_000, 41, (1.0,) + thresholds[1:], variant)
+    est = simulate(U01, cfg, tagged_sure)
+    if isinstance(variant, RankPrizes):
+        prize = est.rank_win_rates[0] @ np.asarray(V4.values)
+    else:
+        prize = cfg.V * est.win_rate_per_agent[0]
+    assert gain.value == pytest.approx(prize - cost, abs=1e-12)
 
 
 def test_different_seed_changes_the_draws():
