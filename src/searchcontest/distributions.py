@@ -3,8 +3,8 @@
 Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, quantile, the reverse-hazard ratio F/f, and the support
-endpoints, plus two shape facts in closed form: where F/f drops, if it
-does, and the maximum of c*f(c). A JSON-dict spec form round-trips through
+endpoints, plus three shape facts in closed form: where F/f drops, where it
+rises, and the maximum of c*f(c). A JSON-dict spec form round-trips through
 ``distribution_from_spec`` / ``to_spec`` for the CLI.
 
 Conventions:
@@ -60,6 +60,11 @@ class CostDistribution:
         across which it drops."""
         raise NotImplementedError
 
+    def rising_pieces(self) -> list[tuple[float, float]]:
+        """Intervals of positive density on each of which F/f is
+        nondecreasing, in order; the density is zero between them."""
+        raise NotImplementedError
+
     def max_c_pdf(self) -> float:
         """Maximum of c*f(c) over the support."""
         raise NotImplementedError
@@ -101,6 +106,9 @@ class Uniform(CostDistribution):
 
     def reverse_hazard_drop(self) -> None:
         return None  # F/f = c - a
+
+    def rising_pieces(self) -> list[tuple[float, float]]:
+        return [(self.a, self.b)]
 
     def max_c_pdf(self) -> float:
         return self.b / (self.b - self.a)
@@ -144,6 +152,9 @@ class PowerLaw(CostDistribution):
 
     def reverse_hazard_drop(self) -> None:
         return None  # F/f = c / alpha
+
+    def rising_pieces(self) -> list[tuple[float, float]]:
+        return [(0.0, 1.0)]
 
     def max_c_pdf(self) -> float:
         return self.alpha  # c*f(c) = alpha * c^alpha, largest at c = 1
@@ -227,6 +238,22 @@ class PiecewiseLinear(CostDistribution):
             prev = i
         return None
 
+    def rising_pieces(self) -> list[tuple[float, float]]:
+        """Runs of positive-slope segments along which the slope never
+        rises (with reverse_hazard_drop's slack), so F/f is nondecreasing."""
+        pieces: list[tuple[float, float]] = []
+        prev = None
+        for i, slope in enumerate(self._slopes):
+            if slope <= 0.0:
+                prev = None
+                continue
+            start = float(self._c[i])
+            if prev is not None and slope <= self._slopes[prev] * (1.0 + 1e-9):
+                start = pieces.pop()[0]
+            pieces.append((start, float(self._c[i + 1])))
+            prev = i
+        return pieces
+
     def max_c_pdf(self) -> float:
         # c*f(c) rises across each segment, so its maximum sits at a right end.
         return float(np.max(self._c[1:] * self._slopes))
@@ -255,10 +282,10 @@ def distribution_from_spec(spec: dict) -> CostDistribution:
 def check_reverse_hazard_monotone(d: CostDistribution) -> tuple[bool, tuple[float, float] | None]:
     """Is F/f nondecreasing wherever the density is positive?
 
-    Returns (ok, violating_interval), decided exactly per family. The
-    principal-side solvers require a nondecreasing reverse-hazard ratio
-    for their fixed-point equation to have a unique root. Violations
-    occur only at piecewise-linear knots where the slope rises.
+    Returns (ok, violating_interval), decided exactly per family.
+    Violations occur only at piecewise-linear knots where the slope rises.
+    The per-agent designer system needs ok; the single-prize and structure
+    designers solve per ``rising_pieces`` and need no such condition.
     """
     drop = d.reverse_hazard_drop()
     return drop is None, drop

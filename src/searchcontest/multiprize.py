@@ -3,7 +3,7 @@
 With n agents and a nonincreasing prize vector (v_1, ..., v_n), every
 finder draws a uniform rank among the finders and rank m pays v_m. The
 per-searcher value of searching is sum_m v_m * rank_win_probability(m),
-and the equilibrium cutoff is a fixed point of that aggregate map.
+and the equilibrium cutoff is the fixed point of that aggregate map.
 
 Key facts used here (all checked against independent oracles in tests):
 
@@ -11,7 +11,10 @@ Key facts used here (all checked against independent oracles in tests):
   "at least m find" is a binomial tail;
 - a searcher's rival finder count T is Binomial(n-1, q F) and their rank
   is uniform on {1, ..., T+1}, giving the single-sum forms below;
-- rank_win_probability(m) = prob_at_least_m_find(m) / (n F).
+- rank_win_probability(m) = prob_at_least_m_find(m) / (n F);
+- the aggregate map is q E[mean of the top T+1 prizes], a Bernstein
+  polynomial in q F with nonincreasing coefficients, so c minus the map
+  strictly increases and has at most one root (Farouki 2012).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.stats import binom
 
 from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
-from ._numerics import bisect_root, win_rate
+from ._numerics import solve_cutoff, win_rate
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
@@ -32,7 +35,7 @@ from .equilibrium import (
     success_probability,
     win_probability,
 )
-from .principal import objective, optimal_prize, stakes_for_threshold
+from .principal import _best_cutoff, stakes_for_threshold
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ def rank_win_probability(
 
 def _rival_finder_pmf(q: float, n: int, F: float) -> np.ndarray:
     """pmf of a searcher's rival finder count: Binomial(n-1, q F)."""
+    if q * F < 1e-300:  # a point mass at 0 to double precision; scipy overflows near 1e-308
+        return np.eye(1, n)[0]
     return binom.pmf(np.arange(n), n - 1, q * F)
 
 
@@ -149,44 +154,6 @@ def expected_payout(
     return float(np.dot(np.asarray(structure.values), tails))
 
 
-def equilibrium_roots_multi(
-    d: CostDistribution,
-    q: float,
-    n: int,
-    structure: PrizeStructure,
-    grid_size: int = 512,
-) -> list[float]:
-    """All interior fixed points of c = expected_prize_per_searcher(c).
-
-    Scans a grid over the support for sign changes of the gap and bisects
-    each bracket. One root is guaranteed under the interiority conditions;
-    more can exist for irregular distributions, so all are reported.
-    """
-    lo, hi = d.support()
-
-    def gap(c: float) -> float:
-        return c - expected_prize_per_searcher(d, q, n, structure, c)
-
-    grid = np.linspace(lo, hi, grid_size)
-    vals = np.array([gap(float(c)) for c in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-        elif min(fa, fb) < 0.0 < max(fa, fb):
-            roots.append(bisect_root(gap, a, b))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # Deduplicate near-identical roots from flat stretches.
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-11:
-            out.append(r)
-    return out
-
-
 def solve_threshold_multi(
     d: CostDistribution,
     q: float,
@@ -196,24 +163,15 @@ def solve_threshold_multi(
     """Equilibrium cutoff under a rank-ordered prize structure.
 
     Interior when v_1*q > c_lo and the aggregate map at c_hi is below
-    c_hi; otherwise clamps to the violated endpoint. With several interior
-    roots (possible without a regular distribution) the smallest is
-    returned; use equilibrium_roots_multi to see them all.
+    c_hi; otherwise clamps to the violated endpoint. The interior cutoff
+    is unique (see the module docstring), so one solve_cutoff finds it.
     """
     lo, hi = d.support()
 
     def m_map(c: float) -> float:
         return expected_prize_per_searcher(d, q, n, structure, c)
 
-    if m_map(lo) <= lo:
-        c, interior = lo, False
-    elif m_map(hi) >= hi:
-        c, interior = hi, False
-    else:
-        roots = equilibrium_roots_multi(d, q, n, structure)
-        if not roots:
-            raise ConvergenceError("no equilibrium root found despite interior endpoints")
-        c, interior = roots[0], True
+    c, interior = solve_cutoff(m_map, lo, hi)
     cfg = ContestConfig(n=float(n), q=q, V=structure.total)
     return EquilibriumResult(
         threshold=c,
@@ -258,7 +216,7 @@ class StructureSolution:
     regime: str  # "equal-split" | "interior-mix" | "winner-takes-all"
     value: float
     stakes_window: tuple[float, float]
-    certified: bool
+    certified: bool  # always True: the target cutoff is an exact maximum
 
 
 def optimal_prize_structure(
@@ -271,22 +229,14 @@ def optimal_prize_structure(
     """Best prize structure with purse V for a designer with stakes W.
 
     The designer's payoff depends on the structure only through the
-    induced cutoff, so the problem reduces to: clamp the unconstrained
-    optimal cutoff into the achievable interval, then realize the clamped
+    induced cutoff, so the problem reduces to: maximize the designer's
+    objective exactly over the achievable interval, then realize that
     cutoff with a winner-takes-all / equal-split mix. The mix weight
     solves lam*V*Phi1(c) + (1-lam)*V*q/n = c at the target cutoff.
     """
     check_positive("V", V)
     a, b = achievable_interval(d, q, n, V)
-    base = optimal_prize(d, q, n, W)
-    certified = base.certified
-    if certified:
-        target = min(max(base.threshold, a), b)
-    else:
-        # Grid maximization restricted to the achievable interval.
-        grid = np.linspace(a, b, 4097)
-        vals = np.array([objective(d, q, n, W, float(c)) for c in grid])
-        target = float(grid[int(np.argmax(vals))])
+    target = _best_cutoff(d, q, float(n), W, a, b)
 
     cfg = ContestConfig(n=float(n), q=q, V=V)
     edge_tol = max(1e-12, 1e-9 * max(b - a, 1.0))
@@ -315,5 +265,5 @@ def optimal_prize_structure(
         regime=regime,
         value=value,
         stakes_window=window,
-        certified=certified,
+        certified=True,
     )

@@ -6,13 +6,13 @@ cutoffs, the objective is
 
     objective(c) = -W (1 - q F(c))^n - n c F(c),
 
-whose interior maximizer solves c = optimality_map(c) with
+whose derivative is n f(c) (optimality_map(c) - c) with
 
     optimality_map(c) = W q (1 - q F(c))^{n-1} - F(c)/f(c).
 
-A nondecreasing reverse-hazard ratio F/f makes the fixed point unique;
-``optimal_prize`` checks that condition exactly and falls back to
-certified=False grid maximization when it fails.
+F/f is nondecreasing on each of the distribution's ``rising_pieces``, so
+one solve_cutoff finds each piece's maximizer. Between pieces f = 0 and the
+derivative is -n F <= 0, so the best of lo and the piece maximizers is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ._errors import InputError, check_find_probability, check_positive
 from ._numerics import compl_pow, solve_cutoff
-from .distributions import CostDistribution, check_reverse_hazard_monotone
+from .distributions import CostDistribution
 from .equilibrium import ContestConfig, win_probability
 
 
@@ -32,9 +32,9 @@ from .equilibrium import ContestConfig, win_probability
 class PrizeSolution:
     threshold: float
     prize: float
-    regime: str  # "lower-boundary" | "interior" | "upper-boundary" | "grid-fallback"
+    regime: str  # "lower-boundary" | "interior" | "upper-boundary"
     objective_value: float
-    certified: bool
+    certified: bool  # always True: the maximum is exact, not sampled
 
 
 @dataclass(frozen=True)
@@ -115,19 +115,25 @@ def stakes_for_threshold(d: CostDistribution, q: float, n: float, c_hat: float) 
     return (c_hat + ratio) / denom
 
 
-def _grid_maximize(d: CostDistribution, q: float, n: float, W: float) -> float:
-    """Grid argmax of the objective with two zoom refinements."""
-    lo, hi = d.support()
-    a, b = lo, hi
-    best_c = lo
-    for _ in range(3):
-        grid = np.linspace(a, b, 4097)
-        vals = np.array([objective(d, q, n, W, float(c)) for c in grid])
-        j = int(np.argmax(vals))
-        best_c = float(grid[j])
-        a = float(grid[max(j - 1, 0)])
-        b = float(grid[min(j + 1, len(grid) - 1)])
-    return best_c
+def _best_cutoff(d: CostDistribution, q: float, n: float, W: float, lo: float, hi: float) -> float:
+    """Exact maximizer of the objective over [lo, hi] within the support.
+
+    A piece's top is evaluated one ulp inside it, because pdf at a knot is
+    the next segment's slope; a clamp there maps back to the top.
+    """
+    best, best_value = lo, objective(d, q, n, W, lo)
+    for a, b in d.rising_pieces():
+        a, b = max(a, lo), min(b, hi)
+        if a >= b:
+            continue
+        top = math.nextafter(b, a)
+        c, _ = solve_cutoff(lambda t: optimality_map(d, q, n, W, t), a, top)
+        if c == top:
+            c = b
+        value = objective(d, q, n, W, c)
+        if value > best_value:
+            best, best_value = c, value
+    return best
 
 
 def optimal_prize(
@@ -138,29 +144,15 @@ def optimal_prize(
 ) -> PrizeSolution:
     """Profit-maximizing prize and the cutoff it induces.
 
-    Interior case: bisection on optimality_map(c) - c, which is strictly
-    decreasing when F/f is nondecreasing. The implied prize is
-    c*/win_probability(c*). Stakes outside stakes_window clamp the cutoff
-    to the matching support endpoint.
+    The cutoff c* is the exact maximizer of the objective over the
+    support, so the solution is always certified; the implied prize is
+    c*/win_probability(c*). Stakes outside stakes_window put c* at the
+    matching support endpoint.
     """
     _check_args(q, n, W)
-    ok, _ = check_reverse_hazard_monotone(d)
-    if not ok:
-        c = _grid_maximize(d, q, n, W)
-        prize = _implied_prize(d, q, n, c)
-        return PrizeSolution(
-            threshold=c,
-            prize=prize,
-            regime="grid-fallback",
-            objective_value=objective(d, q, n, W, c),
-            certified=False,
-        )
     lo, hi = d.support()
-    c, interior = solve_cutoff(lambda t: optimality_map(d, q, n, W, t), lo, hi)
-    if interior:
-        regime = "interior"
-    else:
-        regime = "lower-boundary" if c == lo else "upper-boundary"
+    c = _best_cutoff(d, q, n, W, lo, hi)
+    regime = "lower-boundary" if c == lo else "upper-boundary" if c == hi else "interior"
     return PrizeSolution(
         threshold=c,
         prize=_implied_prize(d, q, n, c),

@@ -119,6 +119,27 @@ def test_principal_payload(capsys):
     assert lo < 2.0 < hi
 
 
+def test_principal_on_a_zero_density_stretch(capsys):
+    # Density 2 on [0, 1/2] and zero above: F/f = c, so (1 - c)^2 = 2c.
+    flat_top = '{"kind":"piecewise_linear","knots":[[0,0],[0.5,1],[1,1]]}'
+    argv = ["principal", "--dist", flat_top, "--q", "0.5", "--n", "3", "--W", "2"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    res = rec["results"]
+    assert res["threshold"] == pytest.approx(2.0 - 3.0**0.5, abs=1e-12)
+    assert res["regime"] == "interior"
+    assert res["certified"] is True
+
+
+def test_prize_structure_at_a_tiny_find_probability(capsys):
+    # The equal-split cutoff q V / n puts q F near 5e-309, where scipy's
+    # binomial pmf overflowed.
+    argv = ["prize-structure", "--dist", U01, "--q", "1e-154", "--n", "2", "--W", "1", "--V", "1"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert rec["results"]["certified"] is True
+
+
 def test_prize_structure_payload_and_csv(capsys):
     argv = [
         "prize-structure", "--dist", U01, "--q", "1", "--n", "2",

@@ -255,3 +255,24 @@ def test_reverse_hazard_monotone_passes_collinear_knots():
     # values up to 2e-15 apart, rising at some knots.
     d = PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11)))
     assert check_reverse_hazard_monotone(d) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "d,pieces",
+    [
+        (Uniform(0.25, 1.25), [(0.25, 1.25)]),
+        (PowerLaw(0.5), [(0.0, 1.0)]),
+        # Split where the slope rises from 14/15 to 2.8, not where it falls.
+        (PiecewiseLinear(KINKED_KNOTS), [(0.0, 3.0 / 7.0), (3.0 / 7.0, 1.0)]),
+        # Split at the zero-density stretch.
+        (PiecewiseLinear(FLAT_KNOTS), [(0.0, 0.5), (0.7, 1.0)]),
+        (PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0))), [(0.0, 0.5)]),
+        (PiecewiseLinear(((0.0, 0.0), (0.3, 0.0), (1.0, 1.0))), [(0.3, 1.0)]),
+        (PiecewiseLinear(SMALL_RISE_KNOTS), [(0.0, 0.5), (0.5, 1.0)]),
+        # Collinear knots whose slopes differ only by rounding: one piece.
+        (PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11))), [(0.25, 1.25)]),
+    ],
+)
+def test_rising_pieces(d, pieces):
+    assert d.rising_pieces() == pieces
+

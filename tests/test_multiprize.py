@@ -1,13 +1,17 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from searchcontest import InputError
-from searchcontest.distributions import PiecewiseLinear, Uniform
+from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
 from searchcontest.multiprize import (
     PrizeStructure,
     achievable_interval,
-    equilibrium_roots_multi,
     expected_payout,
     expected_prize_per_searcher,
     optimal_prize_structure,
@@ -16,6 +20,9 @@ from searchcontest.multiprize import (
     rank_win_probability,
     solve_threshold_multi,
 )
+from searchcontest.principal import objective
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 U01 = Uniform(0.0, 1.0)
 V4 = PrizeStructure((0.4, 0.3, 0.2, 0.1))
@@ -190,13 +197,60 @@ def test_winner_takes_all_reduces_to_single_prize_solver():
     assert multi.threshold == pytest.approx(single.threshold, abs=1e-10)
 
 
-def test_root_scan_finds_exactly_the_fixed_point():
-    for structure in (V4, PrizeStructure.winner_takes_all(1.0, 4)):
-        roots = equilibrium_roots_multi(U01, 0.5, 4, structure)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(
-            solve_threshold_multi(U01, 0.5, 4, structure).threshold, abs=1e-8
-        )
+def _piecewise_law(segments):
+    widths = np.array([w for w, _ in segments])
+    rises = np.cumsum([r for _, r in segments])
+    c = np.concatenate(([0.0], np.cumsum(widths)))
+    F = np.concatenate(([0.0], rises / rises[-1]))
+    return PiecewiseLinear(tuple(zip(c.tolist(), F.tolist())))
+
+
+LAWS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.1, 2.0)).map(lambda t: Uniform(t[0], t[0] + t[1])),
+    st.floats(0.2, 8.0).map(PowerLaw),
+    # Some segments rise by zero: flat CDF stretches.
+    st.lists(
+        st.tuples(st.floats(0.05, 1.0), st.one_of(st.just(0.0), st.floats(0.05, 1.0))),
+        min_size=1,
+        max_size=5,
+    )
+    .filter(lambda segs: any(r > 0.0 for _, r in segs))
+    .map(_piecewise_law),
+)
+
+PRIZES = (
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12)
+    .filter(lambda v: sum(v) > 0.0)
+    .map(lambda v: PrizeStructure(tuple(sorted(v, reverse=True))))
+)
+
+
+@given(
+    d=LAWS,
+    structure=PRIZES,
+    q=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_rank_prize_cutoff_is_the_one_sign_change(d, structure, q):
+    n = structure.n
+
+    def gap(c):
+        return c - expected_prize_per_searcher(d, q, n, structure, c)
+
+    lo, hi = d.support()
+    gaps = [gap(float(c)) for c in np.linspace(lo, hi, 257)]
+    assert all(a <= b for a, b in zip(gaps, gaps[1:]))
+
+    res = solve_threshold_multi(d, q, n, structure)
+    c = res.threshold
+    if gap(lo) >= 0.0:
+        assert (c, res.interior) == (lo, False)
+    elif gap(hi) <= 0.0:
+        assert (c, res.interior) == (hi, False)
+    else:
+        assert res.interior
+        # A sign change between c and one of its neighbouring doubles.
+        up, down = math.nextafter(c, hi), math.nextafter(c, lo)
+        assert (c < hi and gap(c) <= 0.0 < gap(up)) or (lo < c and gap(down) <= 0.0 < gap(c))
 
 
 def test_achievable_interval_between_equal_split_and_wta():
@@ -247,6 +301,22 @@ def test_optimal_structure_interior_mix_regime():
     assert sol.value == pytest.approx(1.8, abs=1e-9)
     # The reported structure really induces the reported cutoff.
     induced = solve_threshold_multi(U01, 1.0, 2, sol.structure)
+    assert induced.threshold == pytest.approx(sol.threshold, abs=1e-9)
+
+
+def test_optimal_structure_on_a_kinked_law():
+    # F/f drops at c = 0.5, and the best cutoff in the achievable interval
+    # is the kink c = 0.6, which falls between the points of the grid.
+    d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0)))
+    sol = optimal_prize_structure(d, 0.5, 3, 8.0, 2.0)
+    assert sol.certified
+    assert sol.regime == "interior-mix"
+    assert abs(sol.threshold - 0.6) <= math.ulp(0.6)
+    a, b = achievable_interval(d, 0.5, 3, 2.0)
+    best = objective(d, 0.5, 3.0, 8.0, sol.threshold)
+    assert sol.value == pytest.approx(8.0 + best, abs=1e-12)
+    assert best >= max(objective(d, 0.5, 3.0, 8.0, float(c)) for c in np.linspace(a, b, 20001))
+    induced = solve_threshold_multi(d, 0.5, 3, sol.structure)
     assert induced.threshold == pytest.approx(sol.threshold, abs=1e-9)
 
 

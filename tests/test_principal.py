@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -15,6 +16,8 @@ from searchcontest.principal import (
     verify_against_grid,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 U01 = Uniform(0.0, 1.0)
 
 # Cutoff / prize / profit re-derived by zoomed grid argmax over the exact
@@ -26,6 +29,31 @@ FROZEN_OPTIMA = [
 ]
 
 NON_MONOTONE = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0)))
+
+# Slopes 1 -> 1.001 at c = 0.5: F/f drops there by 1e-3 relative.
+SMALL_RISE = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.5999, 0.6), (1.0, 1.0)))
+
+# Density 2 on [0, 1/2], zero above.
+FLAT_TOP = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)))
+
+# Density 5/3, then a zero-density stretch on [0.3, 0.6], then 5/4.
+FLAT_MIDDLE = PiecewiseLinear(((0.0, 0.0), (0.3, 0.5), (0.6, 0.5), (1.0, 1.0)))
+
+
+def _assert_global_maximum(d, q, n, W, sol):
+    """The solve beats nearby cutoffs, a 20001-point grid and every knot,
+    to within 1e-12."""
+    c = sol.threshold
+    assert sol.objective_value == objective(d, q, n, W, c)
+    lo, hi = d.support()
+    for probe in (c - 1e-3, c + 1e-3):
+        if lo <= probe <= hi:
+            assert sol.objective_value >= objective(d, q, n, W, probe) - 1e-12
+    grid_best = max(objective(d, q, n, W, float(x)) for x in np.linspace(lo, hi, 20001))
+    assert sol.objective_value >= grid_best - 1e-12
+    for knot, _ in d.knots:
+        assert sol.objective_value >= objective(d, q, n, W, knot) - 1e-12
+    assert verify_against_grid(d, q, n, W).ok
 
 
 @pytest.mark.parametrize(
@@ -134,26 +162,60 @@ def test_grid_check_rejects_tiny_grid():
         verify_against_grid(U01, 0.5, 2.0, 1.0, grid_size=2)
 
 
-def test_non_monotone_ratio_falls_back_to_grid():
+def test_non_monotone_ratio_is_maximized_exactly():
+    # F/f drops at c = 0.5, so optimality_map(c) - c has no single sign
+    # change on the support; each rising piece is solved on its own.
     sol = optimal_prize(NON_MONOTONE, 0.8, 4.0, 2.0)
-    assert sol.regime == "grid-fallback"
-    assert not sol.certified
-    # The fallback must still beat nearby cutoffs.
-    c = sol.threshold
-    for probe in (c - 1e-3, c + 1e-3):
-        if 0.0 <= probe <= 1.0:
-            assert sol.objective_value >= objective(NON_MONOTONE, 0.8, 4.0, 2.0, probe) - 1e-12
-    assert verify_against_grid(NON_MONOTONE, 0.8, 4.0, 2.0).ok
+    assert sol.certified
+    assert sol.regime == "interior"
+    _assert_global_maximum(NON_MONOTONE, 0.8, 4.0, 2.0, sol)
 
 
-def test_small_slope_rise_is_not_certified():
-    # Slopes 1 -> 1.001 at c = 0.5: F/f drops there by 1e-3 relative, so
-    # the fixed point is not known to be unique and the solve must fall
-    # back to the grid instead of certifying an interior root.
-    d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.5999, 0.6), (1.0, 1.0)))
-    sol = optimal_prize(d, 0.8, 3, 2)
-    assert sol.regime == "grid-fallback"
-    assert not sol.certified
+def test_small_slope_rise_is_certified():
+    # A drop in F/f too small for any sample to see still splits the
+    # support into two rising pieces, and the maximum is exact.
+    sol = optimal_prize(SMALL_RISE, 0.8, 3, 2)
+    assert sol.certified
+    assert sol.regime == "interior"
+    _assert_global_maximum(SMALL_RISE, 0.8, 3, 2, sol)
+
+
+def test_non_monotone_optimum_sits_on_the_kink():
+    # The first piece clamps at its top, c = 0.6, and the second piece's
+    # map starts below 0.6, so the maximum is the kink itself.
+    sol = optimal_prize(NON_MONOTONE, 0.5, 3.0, 8.0)
+    assert sol.certified
+    assert sol.regime == "interior"
+    assert abs(sol.threshold - 0.6) <= math.ulp(0.6)
+    _assert_global_maximum(NON_MONOTONE, 0.5, 3.0, 8.0, sol)
+
+
+@pytest.mark.parametrize(
+    "d,c_want",
+    [
+        # F = 2c, F/f = c: (1 - c)^2 = 2c.
+        (FLAT_TOP, 2.0 - math.sqrt(3.0)),
+        # F = 5c/3, F/f = c: (1 - c/1.2)^2 = 2c, below the stretch.
+        (FLAT_MIDDLE, (5.28 - math.sqrt(22.1184)) / 2.0),
+    ],
+)
+def test_zero_density_stretch_closed_forms(d, c_want):
+    sol = optimal_prize(d, 0.5, 3.0, 2.0)
+    assert sol.certified
+    assert sol.regime == "interior"
+    assert sol.threshold == pytest.approx(c_want, abs=1e-12)
+    _assert_global_maximum(d, 0.5, 3.0, 2.0, sol)
+
+
+def test_zero_mass_floor_is_a_lower_boundary():
+    # No mass below 0.3 and W q = 0.25 < 0.3: nobody should search. Any
+    # cutoff in [0, 0.3] gives the same objective; the floor is reported.
+    d = PiecewiseLinear(((0.0, 0.0), (0.3, 0.0), (1.0, 1.0)))
+    sol = optimal_prize(d, 0.5, 3.0, 0.5)
+    assert sol.regime == "lower-boundary"
+    assert sol.threshold == 0.0
+    assert sol.objective_value == objective(d, 0.5, 3.0, 0.5, 0.25) == -0.5
+    _assert_global_maximum(d, 0.5, 3.0, 0.5, sol)
 
 
 def test_huge_field_interior_solve():
