@@ -21,7 +21,7 @@ from searchcontest import ConvergenceError
 from searchcontest.distributions import PiecewiseLinear, Uniform, check_reverse_hazard_monotone
 from searchcontest.hetero import (
     HeteroContest,
-    agent_win_probability,
+    agent_win_probabilities,
     best_response_scan_n2,
     solve_principal_hetero,
     solve_thresholds,
@@ -56,8 +56,8 @@ def main():
     sol = solve_thresholds(contest)
     total = success_probability(contest, sol.thresholds)
     print(f"  converged in {sol.sweeps} sweeps; P = {total:.6f}")
-    for i, (q_i, c_i) in enumerate(zip(contest.q_values, sol.thresholds)):
-        psi = agent_win_probability(contest, i, np.delete(sol.thresholds, i))
+    shares = agent_win_probabilities(contest, sol.thresholds)
+    for q_i, c_i, psi in zip(contest.q_values, sol.thresholds, shares):
         share = contest.dist.cdf(c_i) * psi
         print(f"  agent q={q_i:.1f}: cutoff {c_i:.6f}  win share {psi:.6f}  "
               f"contributes {share:.6f} to P")

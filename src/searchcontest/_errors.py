@@ -30,6 +30,12 @@ def check_positive(name: str, value: float) -> None:
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
+def check_field_size(n: float) -> None:
+    """Reject a field size that is not a finite real >= 1."""
+    if not (n >= 1.0 and math.isfinite(n)):
+        raise InputError(f"n must be a finite real >= 1, got {n}")
+
+
 def check_find_probabilities(values) -> None:
     """Reject a vector of per-agent find probabilities outside (0, 1]."""
     if any(not (0.0 < v <= 1.0) for v in values):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._errors import InputError, check_find_probability, check_positive
+from ._errors import InputError, check_field_size, check_find_probability, check_positive
 from ._numerics import bisect_root, prob_any, solve_cutoff, win_rate
 from .distributions import CostDistribution
 
@@ -27,8 +27,7 @@ class ContestConfig:
     V: float
 
     def __post_init__(self):
-        if not (self.n >= 1.0 and math.isfinite(self.n)):
-            raise InputError(f"n must be a finite real >= 1, got {self.n}")
+        check_field_size(self.n)
         check_find_probability(self.q)
         check_positive("V", self.V)
 

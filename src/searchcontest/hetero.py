@@ -1,14 +1,23 @@
 """Heterogeneous find probabilities: agent i finds with probability q_i.
 
-Thresholds are agent-specific. Agent i's value of searching against rival
-cutoffs c_{-i} is
+Thresholds are agent-specific. Write pi_j = q_j F(c_j) for the chance that
+agent j searches and finds. A searching agent i wins with probability
 
-    agent_win_probability = q_i * E[1 / (T + 1)],
+    psi_i = q_i E[1 / (T_i + 1)] = q_i * integral_0^1 prod_{j != i} (1 - pi_j + pi_j t) dt,
 
-where T counts rival finders, a Poisson-binomial with success vector
-pi_j = q_j F(c_j). Equilibria come from Gauss-Seidel sweeps of the best
-responses c_i = V * agent_win_probability(c_{-i}); each best response is a
-direct evaluation because c_i does not enter its own equation.
+where T_i counts the other finders and the prize goes to one of the
+T_i + 1 finders at random (integrating t^T over [0, 1] gives 1/(T + 1)).
+The integrand is a polynomial of degree n - 1, so Gauss-Legendre
+quadrature at floor(n/2) + 1 nodes on [0, 1] takes it exactly. One kernel
+serves every agent: the matrix of log factors log(1 - pi_j + pi_j t_k), one
+row per agent and one column per node, gives each leave-one-out share as
+the weighted sum of exp(column sums - own row).
+
+Equilibria come from Gauss-Seidel sweeps of the best responses
+c_i = V psi_i, which keep the column sums current. The designer's system is
+swept the same way: with the other cutoffs fixed, the designer's objective
+in c_i is (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - pi_j), the
+single-prize designer problem with one sure finder.
 
 The two-player scanner at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -25,9 +34,10 @@ import numpy as np
 from ._errors import (
     ConvergenceError, InputError, check_find_probabilities, check_find_probability, check_positive,
 )
-from ._numerics import bisect_root, solve_cutoff
+from ._numerics import bisect_root
 from .distributions import CostDistribution, check_reverse_hazard_monotone
 from .equilibrium import ContestConfig, solve_threshold
+from .principal import _best_cutoff
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
@@ -65,8 +75,7 @@ class HeteroContest:
     def to_input_order(self, values) -> np.ndarray:
         """Reorder a sorted-position vector back to constructor order."""
         out = np.empty(self.n)
-        for pos, idx in enumerate(self.order):
-            out[idx] = values[pos]
+        out[list(self.order)] = values
         return out
 
 
@@ -77,115 +86,90 @@ class ThresholdVector:
     sweeps: int
 
 
-def poisson_binomial_pmf(probs) -> np.ndarray:
-    """Exact pmf of a sum of independent Bernoullis, by convolution.
-
-    O(n^2): fold in one success probability at a time.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise InputError("probs must be a 1-d vector")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise InputError("probabilities must lie in [0, 1]")
-    pmf = np.zeros(p.size + 1)
-    pmf[0] = 1.0
-    for i, pi in enumerate(p):
-        upper = i + 2
-        block = pmf[:upper].copy()
-        pmf[:upper] = block * (1.0 - pi)
-        pmf[1:upper] += block[:-1] * pi
-    return pmf
+def _find_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
+    """pi_j = q_j F(c_j) for a vector of cutoffs in sorted position."""
+    c = np.asarray(thresholds, dtype=float)
+    if c.shape != (contest.n,):
+        raise InputError(f"expected {contest.n} thresholds, got shape {c.shape}")
+    return np.asarray(contest.q_values) * np.array([contest.dist.cdf(float(t)) for t in c])
 
 
-def expected_tiebreak_share(probs) -> float:
-    """E[1/(T+1)] for Poisson-binomial T: the uniform tie-break share."""
-    pmf = poisson_binomial_pmf(probs)
-    return float(np.dot(pmf, 1.0 / np.arange(1.0, pmf.size + 1.0)))
+def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree n - 1."""
+    x, w = np.polynomial.legendre.leggauss(n // 2 + 1)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def agent_win_probability(contest: HeteroContest, i: int, rival_thresholds) -> float:
-    """Win probability of agent i (sorted position) given rivals' cutoffs.
+def _log_factors(pi, t: np.ndarray) -> np.ndarray:
+    """log(1 - pi_j + pi_j t_k); finite because every node is positive."""
+    return np.log1p(np.multiply.outer(pi, t - 1.0))
 
-    rival_thresholds is aligned with the sorted q_values with position i
-    removed.
-    """
-    if not (0 <= i < contest.n):
-        raise InputError(f"agent index {i} out of range for n = {contest.n}")
-    rivals = np.asarray(rival_thresholds, dtype=float)
-    if rivals.shape != (contest.n - 1,):
-        raise InputError(
-            f"expected {contest.n - 1} rival thresholds, got shape {rivals.shape}"
-        )
-    q = np.asarray(contest.q_values)
-    q_rivals = np.delete(q, i)
-    pi = q_rivals * np.array([contest.dist.cdf(float(c)) for c in rivals])
-    return float(q[i]) * expected_tiebreak_share(pi)
+
+def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
+    """Win probability psi_i of each searching agent (sorted position)
+    when the agents use the given cutoffs."""
+    t, w = _quadrature(contest.n)
+    rows = _log_factors(_find_probabilities(contest, thresholds), t)
+    return np.asarray(contest.q_values) * (np.exp(rows.sum(axis=0) - rows) @ w)
 
 
 def success_probability(contest: HeteroContest, thresholds) -> float:
     """Probability someone finds: 1 - prod_i (1 - q_i F(c_i))."""
-    c = np.asarray(thresholds, dtype=float)
-    if c.shape != (contest.n,):
-        raise InputError(f"expected {contest.n} thresholds, got shape {c.shape}")
-    q = np.asarray(contest.q_values)
-    F = np.array([contest.dist.cdf(float(t)) for t in c])
-    return -math.expm1(float(np.sum(np.log1p(-q * F))))
+    pi = _find_probabilities(contest, thresholds)
+    return -math.expm1(float(np.sum(np.log1p(-pi))))
 
 
-def solve_thresholds(
-    contest: HeteroContest,
-    max_sweeps: int = MAX_SWEEPS,
-    sweep_tol: float = SWEEP_TOL,
-) -> ThresholdVector:
+def _gauss_seidel(c: np.ndarray, best_response) -> ThresholdVector:
+    """Set c_i = best_response(i) for each agent in turn, sweeping until no
+    cutoff moves by SWEEP_TOL in a whole sweep."""
+    for sweep in range(1, MAX_SWEEPS + 1):
+        delta = 0.0
+        for i in range(c.size):
+            new_ci = best_response(i)
+            delta = max(delta, abs(new_ci - c[i]))
+            c[i] = new_ci
+        if delta < SWEEP_TOL:
+            return ThresholdVector(thresholds=c, converged=True, sweeps=sweep)
+    return ThresholdVector(thresholds=c, converged=False, sweeps=MAX_SWEEPS)
+
+
+def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
     """Equilibrium cutoff vector by Gauss-Seidel best responses.
 
     Starts from the symmetric solution at the mean find probability and
-    sweeps until the sup-norm update falls below sweep_tol. Convergence is
+    sweeps c_i = V psi_i, clamped into the support. Convergence is
     reported, not assumed; callers decide how to treat a False flag.
     """
-    lo, hi = contest.dist.support()
-    q_mean = float(np.mean(contest.q_values))
-    sym = solve_threshold(
-        contest.dist, ContestConfig(n=float(contest.n), q=q_mean, V=contest.V)
-    )
-    c = np.full(contest.n, sym.threshold)
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for i in range(contest.n):
-            rivals = np.delete(c, i)
-            target = contest.V * agent_win_probability(contest, i, rivals)
-            new_ci = min(max(target, lo), hi)
-            delta = max(delta, abs(new_ci - c[i]))
-            c[i] = new_ci
-        if delta < sweep_tol:
-            return ThresholdVector(thresholds=c, converged=True, sweeps=sweep)
-    return ThresholdVector(thresholds=c, converged=False, sweeps=max_sweeps)
-
-
-def _principal_update(
-    contest: HeteroContest, i: int, c: np.ndarray, W: float
-) -> float:
-    """Solve c_i + F(c_i)/f(c_i) = W q_i prod_{j!=i}(1 - q_j F(c_j)),
-    clamped into the support."""
     d = contest.dist
+    lo, hi = d.support()
     q = np.asarray(contest.q_values)
-    F_rivals = np.array([d.cdf(float(t)) for t in np.delete(c, i)])
-    K = W * float(q[i]) * float(np.prod(1.0 - np.delete(q, i) * F_rivals))
-    c_i, _ = solve_cutoff(lambda t: K - d.reverse_hazard(t), *d.support())
-    return c_i
+    sym = solve_threshold(d, ContestConfig(n=float(contest.n), q=float(np.mean(q)), V=contest.V))
+    c = np.full(contest.n, sym.threshold)
+    t, w = _quadrature(contest.n)
+    rows = _log_factors(_find_probabilities(contest, c), t)
+    cols = rows.sum(axis=0)
+
+    def best_response(i: int) -> float:
+        nonlocal cols
+        if i == 0:
+            cols = rows.sum(axis=0)  # re-sum each sweep so rounding cannot drift
+        cols -= rows[i]
+        c_i = min(max(contest.V * q[i] * float(np.exp(cols) @ w), lo), hi)
+        rows[i] = _log_factors(q[i] * d.cdf(c_i), t)
+        cols += rows[i]
+        return c_i
+
+    return _gauss_seidel(c, best_response)
 
 
-def solve_principal_thresholds(
-    contest: HeteroContest,
-    W: float,
-    max_sweeps: int = MAX_SWEEPS,
-    sweep_tol: float = SWEEP_TOL,
-) -> ThresholdVector:
-    """Designer's first-order-condition system, solved by Gauss-Seidel.
+def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVector:
+    """Designer's cutoff system, solved by Gauss-Seidel from the equilibrium.
 
-    Each sweep step solves the scalar condition for one agent holding the
-    others fixed; the left side is strictly increasing when F/f is
-    nondecreasing, which is checked up front.
+    With the other cutoffs fixed, the designer's objective in c_i is
+    (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - q_j F(c_j)), so each
+    step is the exact single-prize designer maximizer with one sure finder;
+    its first-order condition is c_i + F/f(c_i) = K_i. A nondecreasing F/f
+    is checked up front, as the single-prize theory requires.
     """
     check_positive("W", W)
     ok, where = check_reverse_hazard_monotone(contest.dist)
@@ -193,51 +177,46 @@ def solve_principal_thresholds(
         raise InputError(
             f"designer system needs a nondecreasing F/f; violated near {where}"
         )
-    eq = solve_thresholds(contest)
-    c = eq.thresholds.copy()
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for i in range(contest.n):
-            new_ci = _principal_update(contest, i, c, W)
-            delta = max(delta, abs(new_ci - c[i]))
-            c[i] = new_ci
-        if delta < sweep_tol:
-            return ThresholdVector(thresholds=c, converged=True, sweeps=sweep)
-    return ThresholdVector(thresholds=c, converged=False, sweeps=max_sweeps)
+    d = contest.dist
+    lo, hi = d.support()
+    q = np.asarray(contest.q_values)
+    c = solve_thresholds(contest).thresholds
+    miss = 1.0 - _find_probabilities(contest, c)
+
+    def best_response(i: int) -> float:
+        K = W * q[i] * float(np.prod(miss[:i]) * np.prod(miss[i + 1:]))
+        c_i = _best_cutoff(d, 1.0, 1.0, K, lo, hi)
+        miss[i] = 1.0 - q[i] * d.cdf(c_i)
+        return c_i
+
+    return _gauss_seidel(c, best_response)
 
 
 @dataclass(frozen=True)
 class HeteroPrizeSolution:
     thresholds: np.ndarray
     prize: float
-    implied_prizes: np.ndarray  # c_i / agent_win_probability_i, per agent
+    implied_prizes: np.ndarray  # c_i / psi_i, per agent
     spread: float
     sweeps: int
 
 
-def solve_principal_hetero(
-    contest: HeteroContest, W: float, max_sweeps: int = MAX_SWEEPS
-) -> HeteroPrizeSolution:
-    """Optimal-prize solve: FOC thresholds plus the implied common prize.
+def solve_principal_hetero(contest: HeteroContest, W: float) -> HeteroPrizeSolution:
+    """Optimal-prize solve: designer thresholds plus the implied common prize.
 
     The cutoff vector must be implementable by a single prize, so
-    c_i / agent_win_probability_i has to agree across agents; if the
-    spread exceeds PRIZE_AGREEMENT_TOL the solve is rejected (this is the
-    expected outcome for strongly heterogeneous q, where no single prize
-    implements the unconstrained optimum).
+    c_i / psi_i has to agree across agents; if the spread exceeds
+    PRIZE_AGREEMENT_TOL the solve is rejected (this is the expected
+    outcome for strongly heterogeneous q, where no single prize implements
+    the unconstrained optimum).
     """
-    sol = solve_principal_thresholds(contest, W, max_sweeps)
+    sol = solve_principal_thresholds(contest, W)
     if not sol.converged:
         raise ConvergenceError(
-            f"designer system did not converge within {max_sweeps} sweeps"
+            f"designer system did not converge within {MAX_SWEEPS} sweeps"
         )
     c = sol.thresholds
-    implied = np.empty(contest.n)
-    for i in range(contest.n):
-        share = agent_win_probability(contest, i, np.delete(c, i))
-        if share <= 0.0:
-            raise ConvergenceError(f"agent {i} has zero win probability at the solution")
-        implied[i] = c[i] / share
+    implied = c / agent_win_probabilities(contest, c)
     spread = float(np.max(implied) - np.min(implied))
     if spread > PRIZE_AGREEMENT_TOL:
         raise ConvergenceError(

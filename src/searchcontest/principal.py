@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import InputError, check_find_probability, check_positive
+from ._errors import InputError, check_field_size, check_find_probability, check_positive
 from ._numerics import compl_pow, solve_cutoff
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig, win_probability
@@ -48,8 +48,7 @@ class GridCheck:
 
 def _check_args(q: float, n: float, W: float) -> None:
     check_find_probability(q)
-    if not (n >= 1.0 and math.isfinite(n)):
-        raise InputError(f"n must be a finite real >= 1, got {n}")
+    check_field_size(n)
     check_positive("W", W)
 
 
@@ -57,6 +56,10 @@ def objective(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -
     """Designer profit (net of the constant W) at cutoff c_hat."""
     _check_args(q, n, W)
     d._check_in_support(c_hat)
+    return _objective(d, q, n, W, c_hat)
+
+
+def _objective(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
     F = d.cdf(c_hat)
     return -W * compl_pow(q * F, n) - n * c_hat * F
 
@@ -69,6 +72,10 @@ def optimality_map(d: CostDistribution, q: float, n: float, W: float, c_hat: flo
     """
     _check_args(q, n, W)
     d._check_in_support(c_hat)
+    return _optimality_map(d, q, n, W, c_hat)
+
+
+def _optimality_map(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
     F = d.cdf(c_hat)
     if F == 0.0:
         return W * q
@@ -105,9 +112,12 @@ def stakes_for_threshold(d: CostDistribution, q: float, n: float, c_hat: float) 
 
     Inverts the fixed-point relation: W = (c + F/f) / (q (1 - q F)^{n-1}).
     Used to report prize windows for restricted prize-structure problems.
+    Where the density vanishes with F > 0, F/f and the stakes are +inf.
     """
     _check_args(q, n, 1.0)
     F = d.cdf(c_hat)
+    if F > 0.0 and d.pdf(c_hat) <= 0.0:
+        return math.inf
     ratio = 0.0 if F == 0.0 else d.reverse_hazard(c_hat)
     denom = q * compl_pow(q * F, n - 1.0)
     if denom == 0.0:
@@ -118,19 +128,20 @@ def stakes_for_threshold(d: CostDistribution, q: float, n: float, c_hat: float) 
 def _best_cutoff(d: CostDistribution, q: float, n: float, W: float, lo: float, hi: float) -> float:
     """Exact maximizer of the objective over [lo, hi] within the support.
 
+    Arguments are not checked, so W = 0 is allowed.
     A piece's top is evaluated one ulp inside it, because pdf at a knot is
     the next segment's slope; a clamp there maps back to the top.
     """
-    best, best_value = lo, objective(d, q, n, W, lo)
+    best, best_value = lo, _objective(d, q, n, W, lo)
     for a, b in d.rising_pieces():
         a, b = max(a, lo), min(b, hi)
         if a >= b:
             continue
         top = math.nextafter(b, a)
-        c, _ = solve_cutoff(lambda t: optimality_map(d, q, n, W, t), a, top)
+        c, _ = solve_cutoff(lambda t: _optimality_map(d, q, n, W, t), a, top)
         if c == top:
             c = b
-        value = objective(d, q, n, W, c)
+        value = _objective(d, q, n, W, c)
         if value > best_value:
             best, best_value = c, value
     return best
@@ -189,7 +200,7 @@ def verify_against_grid(
     sol = optimal_prize(d, q, n, W)
     lo, hi = d.support()
     grid = np.linspace(lo, hi, grid_size)
-    vals = np.array([objective(d, q, n, W, float(c)) for c in grid])
+    vals = np.array([_objective(d, q, n, W, float(c)) for c in grid])
     j = int(np.argmax(vals))
     spacing = (hi - lo) / (grid_size - 1)
     diff = abs(float(grid[j]) - sol.threshold)

@@ -7,7 +7,8 @@ inputs are converted to Fraction exactly, so results are the correctly
 rounded values of the exact rational expressions and can be compared to the
 library's stable kernels at 1e-12 and tighter. The transcendental
 large-field limit has no rational form; its oracle is a Lambert-W closed
-form evaluated in mpmath at 50 digits.
+form evaluated in mpmath at 50 digits. Fields of heterogeneous agents too
+large to enumerate use a float Poisson-binomial convolution instead.
 
 Conventions: F is the CDF value at the cutoff, q the find probability, n
 the number of agents (the evaluated agent included), m a prize rank.
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+import numpy as np
 
 
 def _mix(s, t, p):
@@ -125,6 +127,21 @@ def pmf_subsets(probs):
                 p *= pj if j in subset else 1 - pj
             out[r] += p
     return [float(v) for v in out]
+
+
+def poisson_binomial_pmf(probs):
+    """Poisson-binomial pmf by convolution, folding in one Bernoulli at a time.
+
+    Float arithmetic, O(n^2) and exact to about 1e-16: the large-n
+    reference where subset enumeration is out of reach.
+    """
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for i, p in enumerate(probs):
+        block = pmf[: i + 2].copy()
+        pmf[: i + 2] = block * (1.0 - p)
+        pmf[1 : i + 2] += block[:-1] * p
+    return pmf
 
 
 def prob_any_exact(x, n):

@@ -32,9 +32,8 @@ from searchcontest.equilibrium import (
 from searchcontest.expert import critical_expertise, success_probability_with_expert
 from searchcontest.hetero import (
     HeteroContest,
-    agent_win_probability,
+    agent_win_probabilities,
     best_response_scan_n2,
-    poisson_binomial_pmf,
     success_probability as het_success_probability,
 )
 from searchcontest.montecarlo import SimConfig, deviation_gain, simulate
@@ -168,15 +167,11 @@ def test_criterion_08_closed_forms_match_brute_force():
         rival_pi = np.delete(
             np.asarray(contest.q_values) * np.array([U01.cdf(t) for t in c_sorted]), i
         )
-        psi = agent_win_probability(contest, i, np.delete(c_sorted, i))
-        assert abs(psi - oracles.psi_subsets(contest.q_values[i], rival_pi)) <= 1e-12
+        psi = agent_win_probabilities(contest, c_sorted)
+        assert abs(psi[i] - oracles.psi_subsets(contest.q_values[i], rival_pi)) <= 1e-12
 
         F_sorted = np.array([U01.cdf(t) for t in c_sorted])
-        decomposition = sum(
-            F_sorted[j]
-            * agent_win_probability(contest, j, np.delete(c_sorted, j))
-            for j in range(k)
-        )
+        decomposition = float(F_sorted @ psi)
         assert abs(het_success_probability(contest, c_sorted) - decomposition) <= 1e-10
 
 

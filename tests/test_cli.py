@@ -140,6 +140,14 @@ def test_prize_structure_at_a_tiny_find_probability(capsys):
     assert rec["results"]["certified"] is True
 
 
+def test_prize_structure_on_a_zero_density_stretch(capsys):
+    flat_top = '{"kind":"piecewise_linear","knots":[[0,0],[0.5,1],[1,1]]}'
+    argv = ["prize-structure", "--dist", flat_top, "--q", "0.5", "--n", "3", "--W", "2", "--V", "3"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert rec["results"]["regime"] == "equal-split"
+
+
 def test_prize_structure_payload_and_csv(capsys):
     argv = [
         "prize-structure", "--dist", U01, "--q", "1", "--n", "2",

@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from searchcontest import ConvergenceError, InputError
+from searchcontest import ConvergenceError, InputError, cli
 from searchcontest.distributions import PiecewiseLinear, Uniform
-from searchcontest.equilibrium import ContestConfig, solve_threshold
+from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
 from searchcontest.hetero import (
     HeteroContest,
-    agent_win_probability,
+    agent_win_probabilities,
     best_response_n2,
     best_response_scan_n2,
-    expected_tiebreak_share,
-    poisson_binomial_pmf,
     solve_principal_hetero,
     solve_principal_thresholds,
     solve_thresholds,
@@ -20,9 +22,13 @@ from searchcontest.hetero import (
 )
 from searchcontest.principal import optimal_prize
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 U01 = Uniform(0.0, 1.0)
 KINKED = PiecewiseLinear(((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0)))
 BUMPY = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.0, 1.0)))
+# Density 2 on [0, 1/2], zero above.
+FLAT_TOP = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)))
 
 # U[0,1], V = 1, abilities (0.9, 0.6, 0.3): Gauss-Seidel fixed point
 # re-derived against the exact subset-enumeration win probabilities.
@@ -38,12 +44,29 @@ PROB_SETS = [
 ]
 
 
+def tiebreak_share(rival_pi):
+    """Win probability of a sure finder against rivals who find w.p. rival_pi.
+
+    On U[0, 1] with q = 1 every agent's find probability is its cutoff, so
+    agent 0 of a field of sure finders at cutoffs (1, *rival_pi) has it.
+    """
+    k = len(rival_pi)
+    contest = HeteroContest((1.0,) * (k + 1), 1.0, U01)
+    return float(agent_win_probabilities(contest, (1.0, *rival_pi))[0])
+
+
+def share_by_convolution(pi, i):
+    """E[1/(T_i+1)] from the convolution pmf of every agent but i."""
+    pmf = oracles.poisson_binomial_pmf(np.delete(pi, i))
+    return float(np.dot(pmf, 1.0 / np.arange(1.0, pi.size + 1.0)))
+
+
 # ------------------------------------------------------------ distributions
 
 
 @pytest.mark.parametrize("probs", PROB_SETS)
 def test_finder_count_pmf_matches_subset_enumeration(probs):
-    pmf = poisson_binomial_pmf(probs)
+    pmf = oracles.poisson_binomial_pmf(probs)
     exact = oracles.pmf_subsets(probs)
     assert pmf.shape == (len(probs) + 1,)
     np.testing.assert_allclose(pmf, exact, atol=1e-13)
@@ -51,30 +74,21 @@ def test_finder_count_pmf_matches_subset_enumeration(probs):
 
 
 def test_finder_count_pmf_constant_p_is_binomial():
-    pmf = poisson_binomial_pmf([0.37] * 6)
+    pmf = oracles.poisson_binomial_pmf([0.37] * 6)
     ref = stats.binom.pmf(np.arange(7), 6, 0.37)
     np.testing.assert_allclose(pmf, ref, atol=1e-12)
 
 
-def test_finder_count_pmf_validation():
-    with pytest.raises(InputError):
-        poisson_binomial_pmf([[0.2, 0.3]])
-    with pytest.raises(InputError):
-        poisson_binomial_pmf([0.5, 1.2])
-    with pytest.raises(InputError):
-        poisson_binomial_pmf([-0.1])
-
-
 @pytest.mark.parametrize("probs", PROB_SETS)
 def test_tiebreak_share_matches_enumeration(probs):
-    got = expected_tiebreak_share(probs)
+    got = tiebreak_share(probs)
     exact = oracles.psi_subsets(1.0, probs)
     assert got == pytest.approx(exact, abs=1e-13)
 
 
 def test_tiebreak_share_edge_cases():
-    assert expected_tiebreak_share([]) == pytest.approx(1.0, abs=1e-15)
-    assert expected_tiebreak_share([1.0, 1.0]) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert tiebreak_share([]) == pytest.approx(1.0, abs=1e-15)
+    assert tiebreak_share([1.0, 1.0]) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 # --------------------------------------------------------- win probability
@@ -85,19 +99,53 @@ def test_agent_win_probability_matches_subsets():
     c = np.array([0.7, 0.4, 0.2])
     F = np.array([U01.cdf(x) for x in c])
     find_probs = np.asarray(contest.q_values) * F
+    got = agent_win_probabilities(contest, c)
+    assert got.shape == (3,)
     for i in range(3):
         rival_pi = np.delete(find_probs, i)
-        got = agent_win_probability(contest, i, np.delete(c, i))
         exact = oracles.psi_subsets(contest.q_values[i], rival_pi)
-        assert got == pytest.approx(exact, abs=1e-13)
+        assert got[i] == pytest.approx(exact, abs=1e-13)
 
 
 def test_agent_win_probability_validation():
     contest = HeteroContest((0.9, 0.6, 0.3), 1.0, U01)
     with pytest.raises(InputError):
-        agent_win_probability(contest, 3, np.array([0.4, 0.2]))
+        agent_win_probabilities(contest, np.array([0.4, 0.2]))
     with pytest.raises(InputError):
-        agent_win_probability(contest, 0, np.array([0.4, 0.2, 0.1]))
+        agent_win_probabilities(contest, np.array([[0.4, 0.2, 0.1]]))
+
+
+@pytest.mark.parametrize("n, rel", [(2, 1e-12), (7, 1e-12), (50, 1e-12), (200, 1e-12), (2000, 1e-10)])
+def test_quadrature_shares_match_convolution(n, rel):
+    # Exact 0s and 1s included; at n = 2000 up to twenty agents are checked,
+    # ten of them with find probability 0 or 1.
+    rng = np.random.default_rng(n)
+    q = rng.uniform(0.05, 1.0, n)
+    c = rng.uniform(0.0, 1.0, n)
+    c[rng.integers(0, n, max(1, n // 10))] = 0.0
+    ones = rng.integers(0, n, max(1, n // 10))
+    q[ones], c[ones] = 1.0, 1.0
+    order = np.argsort(-q, kind="stable")  # sorted position, as the contest stores it
+    q, c = q[order], c[order]
+    contest = HeteroContest(tuple(q), 1.0, U01)
+    pi = q * c
+    got = agent_win_probabilities(contest, c)
+    agents = np.arange(n) if n <= 200 else np.unique(np.concatenate(
+        [np.flatnonzero((pi == 0.0) | (pi == 1.0))[:10], rng.integers(0, n, 10)]))
+    ref = np.array([q[i] * share_by_convolution(pi, i) for i in agents])
+    np.testing.assert_allclose(got[agents], ref, rtol=rel, atol=0.0)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=200),
+    q=st.floats(min_value=1e-6, max_value=1.0),
+    c=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_equal_agents_share_the_symmetric_win_probability(n, q, c):
+    contest = HeteroContest((q,) * n, 1.0, U01)
+    got = agent_win_probabilities(contest, np.full(n, c))
+    want = win_probability(U01, ContestConfig(n=float(n), q=q, V=1.0), c)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_success_probability_and_decomposition():
@@ -109,9 +157,7 @@ def test_success_probability_and_decomposition():
     got = success_probability(contest, c)
     assert got == pytest.approx(exact, abs=1e-14)
     # Success decomposes into per-agent search rates times win shares.
-    total = sum(
-        F[i] * agent_win_probability(contest, i, np.delete(c, i)) for i in range(3)
-    )
+    total = float(F @ agent_win_probabilities(contest, c))
     assert got == pytest.approx(total, abs=1e-10)
 
 
@@ -159,11 +205,25 @@ def test_solve_thresholds_frozen_point():
 def test_solve_thresholds_is_a_fixed_point():
     contest = HeteroContest((0.9, 0.6, 0.3), 1.0, U01)
     c = solve_thresholds(contest).thresholds
-    for i in range(contest.n):
-        indiff = contest.V * agent_win_probability(contest, i, np.delete(c, i))
-        assert c[i] == pytest.approx(indiff, abs=1e-8)
+    indiff = contest.V * agent_win_probabilities(contest, c)
+    np.testing.assert_allclose(c, indiff, rtol=0.0, atol=1e-8)
     # Stronger agents search more.
     assert c[0] > c[1] > c[2]
+
+
+def test_solve_thresholds_large_field_is_a_fixed_point():
+    rng = np.random.default_rng(2000)
+    contest = HeteroContest(tuple(rng.uniform(0.05, 1.0, 2000)), 1.0, U01)
+    sol = solve_thresholds(contest)
+    assert sol.converged
+    c = sol.thresholds
+    psi = agent_win_probabilities(contest, c)
+    np.testing.assert_allclose(c, contest.V * psi, rtol=0.0, atol=1e-9)
+    # The shares themselves, for a spread of agents, against the convolution.
+    q = np.asarray(contest.q_values)
+    pi = q * c
+    for i in (0, 1, 999, 1998, 1999):
+        assert c[i] == pytest.approx(q[i] * share_by_convolution(pi, i), abs=1e-9)
 
 
 def test_solve_thresholds_symmetric_matches_baseline():
@@ -199,6 +259,26 @@ def test_principal_thresholds_validation():
         solve_principal_thresholds(bumpy_contest, W=2.0)
 
 
+def test_principal_thresholds_on_a_zero_density_stretch():
+    # The symmetric single-prize answer: F/f = c below 1/2, so c = 2 - sqrt(3).
+    contest = HeteroContest((0.5,) * 3, 1.0, FLAT_TOP)
+    sol = solve_principal_thresholds(contest, W=2.0)
+    assert sol.converged
+    np.testing.assert_allclose(sol.thresholds, 2.0 - math.sqrt(3.0), rtol=0.0, atol=1e-8)
+    knots = '{"kind":"piecewise_linear","knots":[[0,0],[0.5,1],[1,1]]}'
+    argv = ["hetero", "--dist", knots, "--qvec", "[0.5,0.5,0.5]", "--V", "1", "--W", "2"]
+    assert cli.main(argv) == 0
+
+
+def test_principal_thresholds_with_no_designer_value_left():
+    # Two sure finders: once one searches at every cost, the other's
+    # stakes K = W q prod(1 - q F) vanish and its cutoff is the floor.
+    contest = HeteroContest((1.0, 1.0), 1.0, U01)
+    sol = solve_principal_thresholds(contest, W=50.0)
+    assert sol.converged
+    assert tuple(sol.thresholds) == (1.0, 0.0)
+
+
 def test_principal_hetero_symmetric_recovers_single_prize_solution():
     contest = HeteroContest((0.5,) * 10, 1.0, U01)
     sol = solve_principal_hetero(contest, W=2.0)
@@ -225,7 +305,7 @@ def test_best_response_formula_and_dual_route():
     # Same number from the tie-break expectation against one rival.
     contest = HeteroContest((0.5, 0.5), 1.0, U01)
     assert br == pytest.approx(
-        agent_win_probability(contest, 0, np.array([0.6])), abs=1e-13
+        agent_win_probabilities(contest, np.array([0.6, 0.6]))[0], abs=1e-13
     )
 
 

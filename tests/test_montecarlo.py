@@ -13,7 +13,7 @@ from searchcontest.equilibrium import (
     win_probability,
 )
 from searchcontest.expert import solve_threshold_expert, success_probability_with_expert
-from searchcontest.hetero import HeteroContest, agent_win_probability, solve_thresholds
+from searchcontest.hetero import HeteroContest, agent_win_probabilities, solve_thresholds
 from searchcontest.hetero import success_probability as het_success_probability
 from searchcontest.montecarlo import (
     CHUNK_SIZE,
@@ -252,9 +252,9 @@ def test_hetero_calibration():
     est = simulate(U01, cfg, sim)
     target_success = het_success_probability(contest, c)
     assert within(3, est.success_rate, target_success, est.success_se)
+    psi = agent_win_probabilities(contest, c)
     for i in range(3):
-        psi = agent_win_probability(contest, i, np.delete(c, i))
-        target = U01.cdf(c[i]) * psi
+        target = U01.cdf(c[i]) * psi[i]
         assert within(
             3, est.win_rate_per_agent[i], target, est.win_rate_per_agent_se[i]
         )

@@ -336,6 +336,16 @@ def test_optimal_structure_stakes_window():
     assert w_lo < 3.0 < w_hi
 
 
+def test_optimal_structure_with_ends_in_a_zero_density_stretch():
+    # Density 2 on [0, 1/2], zero above: both ends of the achievable
+    # interval (1/2 + 2 ulp, 0.875) carry F > 0 = f, so their stakes are +inf.
+    d = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)))
+    sol = optimal_prize_structure(d, 0.5, 3, 2.0, 3.0)
+    assert sol.regime == "equal-split"
+    assert sol.threshold == 0.5000000000000002
+    assert sol.stakes_window == (math.inf, math.inf)
+
+
 def test_optimal_structure_validation():
     with pytest.raises(InputError):
         optimal_prize_structure(U01, 1.0, 2, 2.0, -1.0)
