@@ -90,8 +90,11 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     Halves the bracket until its midpoint is one of its ends, that is, to
     float resolution.
     """
-    f_lo = fn(lo)
-    f_hi = fn(hi)
+    return _bisect(fn, lo, hi, fn(lo), fn(hi))
+
+
+def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """`bisect_root` given the endpoint values f_lo = fn(lo), f_hi = fn(hi)."""
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -123,11 +126,13 @@ def solve_cutoff(
     and it clamps to (hi, False). Otherwise c - value(c) changes sign on
     the support and its root comes back as (c, True).
     """
-    if value(lo) <= lo:
+    v_lo = value(lo)
+    if v_lo <= lo:
         return lo, False
-    if value(hi) >= hi:
+    v_hi = value(hi)
+    if v_hi >= hi:
         return hi, False
-    return bisect_root(lambda c: c - value(c), lo, hi), True
+    return _bisect(lambda c: c - value(c), lo, hi, lo - v_lo, hi - v_hi), True
 
 
 def log_log_slope(xs, ys) -> tuple[float, float]:

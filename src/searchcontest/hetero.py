@@ -116,6 +116,8 @@ def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
 def success_probability(contest: HeteroContest, thresholds) -> float:
     """Probability someone finds: 1 - prod_i (1 - q_i F(c_i))."""
     pi = _find_probabilities(contest, thresholds)
+    if np.any(pi >= 1.0):
+        return 1.0
     return -math.expm1(float(np.sum(np.log1p(-pi))))
 
 

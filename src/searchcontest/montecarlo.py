@@ -1,25 +1,38 @@
 """Simulation cross-checks for the closed-form contest quantities.
 
-Every replication runs through two private helpers. `_chunks` draws the
-replications in fixed-size chunks, each chunk from its own counter-based
-substream (Philox keyed by the master seed and the chunk index), so
-results are bit-identical for a given (seed, replications, config)
-regardless of how chunks might be scheduled. `_play` decides each chunk's
-contest: who found the object, who wins the prize (uniform tie-break,
-outside expert) or which rank each finder takes (rank prizes).
+Replications run in fixed-size chunks, each chunk from its own
+counter-based substream (Philox keyed by the master seed and the chunk
+index), so results are bit-identical for a given (seed, replications,
+config) regardless of how chunks might be scheduled. Each call takes one
+of two paths, chosen from its inputs alone.
 
-Each agent consumes a single uniform u per replication: search happens iff
-u < F(threshold), the object is found iff u < q F(threshold) (the correct
-nested joint for search-then-find), and conditional on finding u / (q F)
-is again uniform and independent across finders, so its argmax implements
-the uniform tie-break among finders exactly. The expert draws one more
-uniform w per replication and finds iff w < q_e, with tie-break score
-w / q_e.
+Count path: `Baseline`, `WithExpert` and `RankPrizes` when every agent
+plays the same threshold (for `deviation_gain`, every rival does). Agents
+are then alike, and counts decide each replication: searchers
+S ~ Bin(n, F), finders K ~ Bin(S, q) (binomial thinning, the fact the
+closed forms rest on), one Bernoulli(q_e) for the expert and one uniform
+for the tie-break. The expert takes a shared prize from K crowd finders
+with chance 1/(K+1). By exchangeability the agent who wins at each rank
+is uniform over the field, so once every chunk is done `simulate` spreads
+each rank's wins over the agents with one Multinomial(wins, 1/n) draw
+from the seed's root stream, which no chunk uses. A chunk costs
+O(replications) whatever n is.
+
+Dense path: `PerAgentFind` and unequal thresholds. Each agent consumes a
+single uniform u per replication: search happens iff u < F(threshold),
+the object is found iff u < q F(threshold) (the correct nested joint for
+search-then-find), and conditional on finding u / (q F) is again uniform
+and independent across finders, so its argmax implements the uniform
+tie-break among finders exactly and its descending order ranks them. The
+expert draws one more uniform w per replication and finds iff w < q_e,
+with tie-break score w / q_e. A chunk costs O(replications x n). It
+draws per agent, not per count, so a contest with equal thresholds
+written as `PerAgentFind` cross-checks the count path.
 
 `simulate` accumulates success and win rates with standard errors; the
 pooled per-searcher rates use the delta-method SE for a ratio of
 replication-level totals. `deviation_gain` is the same play with the
-tagged agent (column 0) searching for sure.
+tagged agent (agent 0) searching for sure.
 """
 
 from __future__ import annotations
@@ -107,9 +120,16 @@ class GainEstimate:
     replications: int
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
+def _chunk_rng(seed: int, chunk_index: Optional[int] = None) -> np.random.Generator:
+    """The stream of one chunk; without an index, the seed's root stream."""
+    key = () if chunk_index is None else (int(chunk_index),)
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _alike(variant, thr) -> bool:
+    """Whether agents playing thresholds thr are exchangeable."""
+    return not isinstance(variant, PerAgentFind) and bool(np.all(thr == thr[:1]))
 
 
 def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
@@ -148,33 +168,51 @@ def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
     return n, thr, F_thr, q_arr, prizes
 
 
+def _chunk_rngs(sim: SimConfig):
+    """Yield each chunk's replication count and stream."""
+    reps = int(sim.replications)
+    for chunk_index, done in enumerate(range(0, reps, CHUNK_SIZE)):
+        yield min(CHUNK_SIZE, reps - done), _chunk_rng(sim.seed, chunk_index)
+
+
 def _chunks(sim: SimConfig, n: int):
     """Yield each chunk's draws: agent uniforms u (m x n), then the expert's
-    uniforms w (m) for `WithExpert` and None otherwise."""
-    reps = int(sim.replications)
+    uniforms w (m) for `WithExpert` and None otherwise. No chunk stays
+    referenced here while the next is drawn."""
     with_expert = isinstance(sim.variant, WithExpert)
-    for chunk_index, done in enumerate(range(0, reps, CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, reps - done)
-        rng = _chunk_rng(sim.seed, chunk_index)
-        u = rng.random((m, n))
-        yield u, rng.random(m) if with_expert else None
+    for m, rng in _chunk_rngs(sim):
+        yield rng.random((m, n)), rng.random(m) if with_expert else None
+
+
+def _count_chunks(sim: SimConfig, n: int, F: float, q: float):
+    """Yield each chunk's draws for n alike agents: searchers S ~ Bin(n, F),
+    finders K ~ Bin(S, q), whether the expert finds (`WithExpert` only,
+    None otherwise) and one uniform v per replication."""
+    with_expert = isinstance(sim.variant, WithExpert)
+    for m, rng in _chunk_rngs(sim):
+        S = rng.binomial(n, F, m)
+        K = rng.binomial(S, q)
+        x = rng.random(m) < sim.variant.q_e if with_expert else None
+        yield S, K, x, rng.random(m)
 
 
 def _play(u, w, qF, variant, prizes):
     """Decide one chunk's contests; overwrites u with tie-break scores,
     u / (q F) for finders and -1 for everyone else.
 
-    Returns (found, success, outcome). For rank prizes the outcome is each
-    agent's 0-based rank among the finders (non-finders rank last);
-    otherwise it is (winner, crowd_wins): the crowd's best finder and
-    whether the crowd keeps the prize.
+    Returns (found, success, outcome). For rank prizes the outcome is None:
+    finders take the ranks in descending order of score. Otherwise it is
+    (winner, crowd_wins): the crowd's best finder and whether the crowd
+    keeps the prize.
     """
     found = u < qF
-    u *= np.divide(1.0, qF, out=np.zeros_like(qF), where=qF > 0.0)
+    # Only non-finders can overflow, and the mask overwrites them.
+    with np.errstate(over="ignore"):
+        u /= np.where(qF > 0.0, qF, 1.0)
     np.putmask(u, ~found, -1.0)
     success = found.any(axis=1)
     if prizes is not None:
-        return found, success, np.argsort(np.argsort(-u, axis=1), axis=1)
+        return found, success, None
 
     crowd_wins = success
     if w is not None:
@@ -188,38 +226,89 @@ def _play(u, w, qF, variant, prizes):
     return found, success, (u.argmax(axis=1), crowd_wins)
 
 
+def _takes_prize(finders, rivals, x, v, variant):
+    """Whether one of `finders` takes the prize from `rivals` other finders
+    and, where x, a finding expert, on the uniform tie-break draw v."""
+    entrants = finders + rivals
+    if x is None:
+        return v * entrants < finders
+    if variant.mode == "expert_keeps":
+        return (v * entrants < finders) & ~x
+    return v * (entrants + x) < finders
+
+
+def _dense_tallies(sim, n, thr, F_thr, qF, V, prizes):
+    """Each chunk's searchers S, payout events X and prize total pay per
+    replication, then its successes, the sum of the searchers' thresholds
+    and its agent x rank win counts. Mapping over the chunks frees each
+    m x n draw before the next one is made."""
+    agents = np.arange(n)
+
+    def tally(draws):
+        u, w = draws
+        searched = u < F_thr
+        found, success, outcome = _play(u, w, qF, sim.variant, prizes)
+        if prizes is None:
+            winner, crowd_wins = outcome
+            X = crowd_wins.astype(float)
+            pay = V * X
+            wins = np.bincount(winner[crowd_wins], minlength=n)[:, None]
+        else:
+            # Each agent's 0-based rank among the finders (non-finders rank last).
+            rank = np.empty_like(u, dtype=np.intp)
+            np.put_along_axis(rank, np.argsort(-u, axis=1), agents, axis=1)
+            X = found.sum(axis=1).astype(float)  # finders all get some rank
+            pay = (prizes[rank] * found).sum(axis=1)
+            cells = (agents * n + rank)[found]
+            wins = np.bincount(cells, minlength=n * n).reshape(n, n)
+        S = searched.sum(axis=1).astype(float)
+        return S, X, pay, success, float(searched.sum(axis=0) @ thr), wins
+
+    return map(tally, _chunks(sim, n))
+
+
+def _count_tallies(sim, n, thr, F, q, V, prizes):
+    """The same for n alike agents at threshold thr, except that the win
+    counts are each rank's total over all agents."""
+    if prizes is not None:
+        top_total = np.concatenate(([0.0], np.cumsum(prizes)))  # paid when K find
+    for S, K, x, v in _count_chunks(sim, n, F, q):
+        success = K > 0 if x is None else (K > 0) | x
+        if prizes is None:
+            crowd_wins = _takes_prize(K, 0, x, v, sim.variant)
+            X = crowd_wins.astype(float)
+            pay = V * X
+            wins = np.array([np.count_nonzero(crowd_wins)])
+        else:
+            X = K.astype(float)
+            pay = top_total[K]
+            # Someone takes rank r whenever K > r.
+            wins = np.bincount(K, minlength=n + 1)[:0:-1].cumsum()[::-1]
+        S = S.astype(float)
+        yield S, X, pay, success, thr * float(S.sum()), wins
+
+
 def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEstimate:
     """Run the contest sim.replications times and aggregate outcomes."""
     n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
     reps = int(sim.replications)
-    qF = q_arr * F_thr
+    alike = _alike(sim.variant, thr)
+    if alike:
+        chunks = _count_tallies(sim, n, thr[0], F_thr[0], cfg.q, cfg.V, prizes)
+    else:
+        chunks = _dense_tallies(sim, n, thr, F_thr, q_arr * F_thr, cfg.V, prizes)
 
     # Accumulators. X = per-replication searcher payout events, S = number
     # of searchers; their cross moments feed the ratio-estimator SEs.
     found_total = 0.0
-    agent_wins = np.zeros(n)
-    rank_counts = np.zeros((n, n)) if prizes is not None else None  # agent x rank
+    wins = 0
     sum_X = sum_S = sum_XX = sum_SS = sum_XS = 0.0
     sum_pay = sum_pay_sq = sum_pay_S = 0.0  # per-replication prize totals
     sum_thr_searched = 0.0  # sum of thresholds over searching agents
 
-    for u, w in _chunks(sim, n):
-        searched = u < F_thr
-        found, success, outcome = _play(u, w, qF, sim.variant, prizes)
+    for S, X, pay, success, thr_searched, chunk_wins in chunks:
         found_total += float(np.count_nonzero(success))
-        if prizes is None:
-            winner, crowd_wins = outcome
-            X = crowd_wins.astype(float)
-            pay = cfg.V * X
-            agent_wins += np.bincount(winner[crowd_wins], minlength=n)
-        else:
-            X = found.sum(axis=1).astype(float)  # finders all get some rank
-            pay = (prizes[outcome] * found).sum(axis=1)
-            cells = (np.arange(n) * n + outcome)[found]
-            rank_counts += np.bincount(cells, minlength=n * n).reshape(n, n)
-
-        S = searched.sum(axis=1).astype(float)
-        searched_per_agent = searched.sum(axis=0)
+        wins = wins + chunk_wins
         sum_X += float(X.sum())
         sum_S += float(S.sum())
         sum_XX += float((X * X).sum())
@@ -228,15 +317,16 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
         sum_pay += float(pay.sum())
         sum_pay_sq += float((pay * pay).sum())
         sum_pay_S += float((pay * S).sum())
-        sum_thr_searched += float(searched_per_agent @ thr)
+        sum_thr_searched += thr_searched
+    if alike:
+        # Each rank's winner is a uniform agent, independently per replication.
+        wins = _chunk_rng(sim.seed).multinomial(wins, np.full(n, 1.0 / n)).T
 
     N = float(reps)
     p_success = found_total / N
     success_se = math.sqrt(max(p_success * (1.0 - p_success), 0.0) / N)
 
-    if prizes is not None:
-        agent_wins = rank_counts[:, 0]
-    win_rate = agent_wins / N
+    win_rate = wins[:, 0] / N
     win_se = np.sqrt(np.maximum(win_rate * (1.0 - win_rate), 0.0) / N)
 
     win_ratio, win_ratio_se = _ratio_estimate(sum_X, sum_S, sum_XX, sum_SS, sum_XS, N)
@@ -251,9 +341,9 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
     rank_fields = {}
     if prizes is not None:
         # Every searcher is counted in sum_S, so it is 0 or at least 1.
-        pooled = rank_counts.sum(axis=0) / max(sum_S, 1.0)
+        pooled = wins.sum(axis=0) / max(sum_S, 1.0)
         rank_fields = dict(
-            rank_win_rates=rank_counts / N,
+            rank_win_rates=wins / N,
             searcher_rank_rates=pooled,
             searcher_rank_se=np.sqrt(pooled * (1.0 - pooled) / max(sum_S, 1.0)),
         )
@@ -285,6 +375,37 @@ def _ratio_estimate(sx, ss, sxx, sss, sxs, N):
     return ratio, math.sqrt(max(var_ratio, 0.0))
 
 
+def _dense_tagged_prizes(sim, n, qF, V, prizes):
+    """Each chunk's prizes to agent 0 from the dense play."""
+
+    def prize(draws):
+        u, w = draws
+        found, _, outcome = _play(u, w, qF, sim.variant, prizes)
+        if prizes is None:
+            winner, crowd_wins = outcome
+            return V * (crowd_wins & (winner == 0))
+        # Agent 0's rank is the number of finders who score higher.
+        return prizes[np.count_nonzero(u > u[:, :1], axis=1)] * found[:, 0]
+
+    return map(prize, _chunks(sim, n))
+
+
+def _count_tagged_prizes(sim, n, F, q, V, prizes):
+    """Yield each chunk's prizes to a tagged agent who always searches
+    against n - 1 alike rivals. One uniform u per replication decides
+    whether they find (u < q) and, as u / q, their tie-break draw. Rivals
+    count only through their finds, so each one draws as a sure searcher
+    who finds with chance q F: T ~ Bin(n - 1, q F)."""
+    for _, T, x, u in _count_chunks(sim, n - 1, 1.0, q * F):
+        found = u < q
+        v = u / q
+        if prizes is None:
+            yield V * _takes_prize(found, T, x, v, sim.variant)
+        else:
+            # A tagged finder's rank is uniform on 0..T.
+            yield prizes[np.minimum((v * (T + 1)).astype(np.intp), T)] * found
+
+
 def deviation_gain(
     d: CostDistribution,
     cfg: ContestConfig,
@@ -301,19 +422,17 @@ def deviation_gain(
     """
     n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
     d._check_in_support(at_cost)
-    # The tagged agent always searches, so their find chance is the bare q.
-    qF = q_arr * F_thr
-    qF[0] = q_arr[0]
+    if _alike(sim.variant, thr[1:]):
+        chunks = _count_tagged_prizes(sim, n, F_thr[-1], cfg.q, cfg.V, prizes)
+    else:
+        # The tagged agent always searches, so their find chance is the bare q.
+        qF = q_arr * F_thr
+        qF[0] = q_arr[0]
+        chunks = _dense_tagged_prizes(sim, n, qF, cfg.V, prizes)
 
     sum_prize = 0.0
     sum_prize_sq = 0.0
-    for u, w in _chunks(sim, n):
-        found, _, outcome = _play(u, w, qF, sim.variant, prizes)
-        if prizes is None:
-            winner, crowd_wins = outcome
-            prize_tagged = cfg.V * (crowd_wins & (winner == 0))
-        else:
-            prize_tagged = prizes[outcome[:, 0]] * found[:, 0]
+    for prize_tagged in chunks:
         sum_prize += float(prize_tagged.sum())
         sum_prize_sq += float((prize_tagged * prize_tagged).sum())
 

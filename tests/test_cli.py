@@ -191,6 +191,20 @@ def test_hetero_reports_input_order(capsys):
     assert thr[2] == pytest.approx(0.38179641754654214, abs=1e-8)
 
 
+def test_hetero_with_sure_finders_prints_no_warning():
+    # Two q = 1 agents search at every cost, so each finds for sure (pi = 1)
+    # and the log of the miss chance would be log 0.
+    proc = subprocess.run(
+        [sys.executable, "-m", "searchcontest", "hetero", "--dist", U01,
+         "--qvec", "[1,1]", "--V", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["success_prob"] == 1.0
+
+
 def test_hetero_principal_nonconvergence_exits_three(capsys):
     argv = ["hetero", "--dist", U01, "--qvec", "[0.9,0.2]", "--V", "1", "--W", "2"]
     code = cli.main(argv)

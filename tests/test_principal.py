@@ -16,8 +16,6 @@ from searchcontest.principal import (
     verify_against_grid,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 U01 = Uniform(0.0, 1.0)
 
 # Cutoff / prize / profit re-derived by zoomed grid argmax over the exact
