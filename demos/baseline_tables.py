@@ -6,39 +6,29 @@ The last section verifies the accounting identity c* n F(c*) = V P* that
 links search spending to the prize bill.
 """
 
-from searchcontest.cli import REFERENCE_TABLES, TABLE_TOL
 from searchcontest.distributions import distribution_from_spec
-from searchcontest.equilibrium import ContestConfig, solve_threshold
+from searchcontest.tables import REFERENCE_TABLES, reproduce
 
 LINE = "-" * 72
 
 
 def main():
+    worst = 0.0
     for name, spec in REFERENCE_TABLES.items():
         d = distribution_from_spec(spec["dist"])
+        rows, _ = reproduce(name)
         print(LINE)
         print(f"{name}: dist={spec['dist']}  q={spec['q']}  V={spec['V']}")
         print(f"{'n':>6} {'c* (computed)':>14} {'c* (ref)':>9} "
               f"{'P* (computed)':>14} {'P* (ref)':>9}  ok")
-        for n, c_ref, p_ref in spec["rows"]:
-            cfg = ContestConfig(n=float(n), q=spec["q"], V=spec["V"])
-            res = solve_threshold(d, cfg)
-            ok = (abs(res.threshold - c_ref) <= TABLE_TOL
-                  and abs(res.success_prob - p_ref) <= TABLE_TOL)
-            print(f"{n:>6} {res.threshold:>14.6f} {c_ref:>9.4f} "
-                  f"{res.success_prob:>14.6f} {p_ref:>9.4f}  {'yes' if ok else 'NO'}")
+        for row in rows:
+            c, p = row["threshold"], row["success_prob"]
+            print(f"{row['n']:>6} {c:>14.6f} {row['threshold_ref']:>9.4f} "
+                  f"{p:>14.6f} {row['success_prob_ref']:>9.4f}  {'yes' if row['ok'] else 'NO'}")
+            worst = max(worst, abs(c * row["n"] * d.cdf(c) - spec["V"] * p))
 
     print(LINE)
     print("balance identity c* n F(c*) = V P* across all rows:")
-    worst = 0.0
-    for spec in REFERENCE_TABLES.values():
-        d = distribution_from_spec(spec["dist"])
-        for n, _, _ in spec["rows"]:
-            cfg = ContestConfig(n=float(n), q=spec["q"], V=spec["V"])
-            res = solve_threshold(d, cfg)
-            lhs = res.threshold * cfg.n * d.cdf(res.threshold)
-            rhs = cfg.V * res.success_prob
-            worst = max(worst, abs(lhs - rhs))
     print(f"  worst absolute residual: {worst:.3e}")
 
 

@@ -80,6 +80,22 @@ def success_probability(d: CostDistribution, cfg: ContestConfig, c_hat: float) -
     return prob_any(cfg.q * d.cdf(c_hat), cfg.n)
 
 
+def _solve_symmetric(d: CostDistribution, cfg: ContestConfig, value) -> EquilibriumResult:
+    """Symmetric equilibrium whose cutoff solves c = value(c), where value(c)
+    is a searcher's expected prize when everyone uses cutoff c; win_prob
+    is that value relative to the purse cfg.V."""
+    c, interior = solve_cutoff(value, *d.support())
+    v = value(c)
+    return EquilibriumResult(
+        threshold=c,
+        success_prob=success_probability(d, cfg, c),
+        expected_searchers=cfg.n * d.cdf(c),
+        win_prob=v / cfg.V,
+        interior=interior,
+        residual=abs(c - v),
+    )
+
+
 def solve_threshold(d: CostDistribution, cfg: ContestConfig) -> EquilibriumResult:
     """Equilibrium cutoff: root of g(c) = c - V * win_probability(c).
 
@@ -88,18 +104,7 @@ def solve_threshold(d: CostDistribution, cfg: ContestConfig) -> EquilibriumResul
     endpoint (q V <= c_lo: nobody searches; V * win_probability(c_hi) >=
     c_hi: everybody does) and the result is flagged non-interior.
     """
-    c, interior = solve_cutoff(
-        lambda t: cfg.V * win_probability(d, cfg, t), *d.support()
-    )
-    w = win_probability(d, cfg, c)
-    return EquilibriumResult(
-        threshold=c,
-        success_prob=success_probability(d, cfg, c),
-        expected_searchers=cfg.n * d.cdf(c),
-        win_prob=w,
-        interior=interior,
-        residual=abs(c - cfg.V * w),
-    )
+    return _solve_symmetric(d, cfg, lambda t: cfg.V * win_probability(d, cfg, t))
 
 
 def check_interiority(d: CostDistribution, cfg: ContestConfig) -> InteriorityCheck:

@@ -16,11 +16,12 @@ crowd agent.
 from __future__ import annotations
 
 from ._errors import InputError, check_expert_probability, check_find_probability
-from ._numerics import solve_cutoff, win_rate_deficit
+from ._numerics import win_rate_deficit
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
     EquilibriumResult,
+    _solve_symmetric,
     solve_threshold,
     success_probability,
     win_probability,
@@ -92,16 +93,7 @@ def solve_threshold_expert(
         def effective_win(c: float) -> float:
             return (1.0 - q_e) * win_probability(d, cfg, c)
 
-    c, interior = solve_cutoff(lambda t: V * effective_win(t), *d.support())
-    w = effective_win(c)
-    return EquilibriumResult(
-        threshold=c,
-        success_prob=success_probability(d, cfg, c),
-        expected_searchers=n * d.cdf(c),
-        win_prob=w,
-        interior=interior,
-        residual=abs(c - V * w),
-    )
+    return _solve_symmetric(d, cfg, lambda t: V * effective_win(t))
 
 
 def critical_expertise(d: CostDistribution, q: float, n: float, V: float) -> float:

@@ -46,6 +46,7 @@ import numpy as np
 from ._errors import InputError, check_expert_probability, check_find_probabilities
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig
+from .expert import MODES
 from .multiprize import PrizeStructure
 
 CHUNK_SIZE = 1 << 14
@@ -63,7 +64,7 @@ class WithExpert:
 
     def __post_init__(self):
         check_expert_probability(self.q_e)
-        if self.mode not in ("shared", "expert_keeps"):
+        if self.mode not in MODES:
             raise InputError(f"unknown expert mode {self.mode!r}")
 
 

@@ -26,13 +26,13 @@ import numpy as np
 from scipy.stats import binom
 
 from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
-from ._numerics import solve_cutoff, win_rate
+from ._numerics import win_rate
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
     EquilibriumResult,
+    _solve_symmetric,
     solve_threshold,
-    success_probability,
     win_probability,
 )
 from .principal import _best_cutoff, stakes_for_threshold
@@ -164,23 +164,12 @@ def solve_threshold_multi(
 
     Interior when v_1*q > c_lo and the aggregate map at c_hi is below
     c_hi; otherwise clamps to the violated endpoint. The interior cutoff
-    is unique (see the module docstring), so one solve_cutoff finds it.
+    is unique (see the module docstring), so one cutoff solve finds it.
     """
-    lo, hi = d.support()
-
-    def m_map(c: float) -> float:
-        return expected_prize_per_searcher(d, q, n, structure, c)
-
-    c, interior = solve_cutoff(m_map, lo, hi)
-    cfg = ContestConfig(n=float(n), q=q, V=structure.total)
-    return EquilibriumResult(
-        threshold=c,
-        success_prob=success_probability(d, cfg, c),
-        expected_searchers=n * d.cdf(c),
-        # Expected prize share per searcher relative to the purse.
-        win_prob=m_map(c) / structure.total,
-        interior=interior,
-        residual=abs(c - m_map(c)),
+    return _solve_symmetric(
+        d,
+        ContestConfig(n=float(n), q=q, V=structure.total),
+        lambda c: expected_prize_per_searcher(d, q, n, structure, c),
     )
 
 

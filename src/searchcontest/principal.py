@@ -87,24 +87,12 @@ def stakes_window(d: CostDistribution, q: float, n: float) -> tuple[float, float
     """Range of designer stakes W giving an interior optimal cutoff.
 
     Below the window the designer prefers no search (cutoff at the floor);
-    above it everyone is induced to search. The ceiling is +inf when q = 1
-    or the density vanishes at the top of the support.
+    above it everyone is induced to search. The ends are the stakes for the
+    support's two ends, lo/q and a ceiling that is +inf when q = 1 < n or
+    the density vanishes at the top of the support.
     """
-    _check_args(q, n, 1.0)
     lo, hi = d.support()
-    w_lo = lo / q
-    if q == 1.0 and n > 1.0:
-        return (w_lo, math.inf)
-    try:
-        f_hi = d.pdf(hi)
-    except InputError:
-        f_hi = 0.0
-    if f_hi <= 0.0:
-        return (w_lo, math.inf)
-    denom = q * compl_pow(q, n - 1.0)
-    if denom == 0.0:
-        return (w_lo, math.inf)
-    return (w_lo, (hi + 1.0 / f_hi) / denom)
+    return (stakes_for_threshold(d, q, n, lo), stakes_for_threshold(d, q, n, hi))
 
 
 def stakes_for_threshold(d: CostDistribution, q: float, n: float, c_hat: float) -> float:

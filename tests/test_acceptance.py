@@ -2,7 +2,7 @@
 
 Each test reproduces one headline result at its stated tolerance, so a
 verbose run reads as one pass/fail line per criterion. Shared reference
-rows live in the CLI module, which quotes them to published precision.
+rows live in `searchcontest.tables`, quoted to published precision.
 """
 
 import time
@@ -16,7 +16,6 @@ from searchcontest.asymptotics import (
     limit_expected_searchers,
     limit_success_probability,
 )
-from searchcontest.cli import REFERENCE_TABLES
 from searchcontest.distributions import (
     PiecewiseLinear,
     PowerLaw,
@@ -44,6 +43,7 @@ from searchcontest.multiprize import (
     rank_win_probability,
 )
 from searchcontest.principal import optimal_prize, stakes_window, verify_against_grid
+from searchcontest.tables import REFERENCE_TABLES
 
 U01 = Uniform(0.0, 1.0)
 UQ = Uniform(0.25, 1.25)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from searchcontest import __version__
-from searchcontest import cli
+from searchcontest import cli, tables
 from searchcontest.distributions import Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold
 
@@ -87,7 +87,7 @@ def test_sweep_rows(capsys):
 # ------------------------------------------------------------------ tables
 
 
-@pytest.mark.parametrize("name", cli.TABLE_NAMES)
+@pytest.mark.parametrize("name", tables.TABLE_NAMES)
 def test_reference_reproductions_pass(capsys, name):
     code, rec = run_json(capsys, ["tables", "--name", name])
     assert code == 0
@@ -96,9 +96,9 @@ def test_reference_reproductions_pass(capsys, name):
 
 
 def test_reference_mismatch_exits_one(capsys, monkeypatch):
-    broken = dict(cli.REFERENCE_TABLES["table1a"])
+    broken = dict(tables.REFERENCE_TABLES["table1a"])
     broken["rows"] = [(2, 0.5, 0.3106)]  # wrong threshold reference
-    monkeypatch.setitem(cli.REFERENCE_TABLES, "table1a", broken)
+    monkeypatch.setitem(tables.REFERENCE_TABLES, "table1a", broken)
     code, rec = run_json(capsys, ["tables", "--name", "table1a"])
     assert code == 1
     assert rec["results"]["all_ok"] is False
@@ -265,6 +265,23 @@ def test_simulate_deviation_flag(capsys):
     assert gain["std_error"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "variant",
+    [[], ["--qe", "0.6"], ["--v", "[0.6,0.4,0,0,0]"], ["--qvec", "[0.3,0.9,0.6,0.5,0.5]"]],
+    ids=["baseline", "expert", "rank-prizes", "per-agent"],
+)
+def test_simulate_defaults_to_the_variant_equilibrium(capsys, variant):
+    # At equilibrium an agent whose cost equals their cutoff is indifferent.
+    argv = [
+        "simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "5",
+        "--reps", "200000", "--seed", "1",
+    ] + variant
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    res = rec["results"]
+    assert abs(res["mean_payoff_at_threshold"]) <= 4 * res["mean_payoff_se"]
+
+
 def test_simulate_floor_threshold(capsys):
     argv = [
         "simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "5",
@@ -273,6 +290,62 @@ def test_simulate_floor_threshold(capsys):
     code, rec = run_json(capsys, argv)
     assert code == 0
     assert rec["results"]["success_rate"] == 0.0
+
+
+# ------------------------------------------------------------ record schema
+
+SOLVE_KEYS = ["threshold", "success_prob", "expected_searchers", "win_prob", "interior", "residual"]
+SIM_KEYS = [
+    "success_rate", "success_se", "searcher_win_rate", "searcher_win_se",
+    "win_rate_per_agent", "win_rate_per_agent_se", "mean_payoff_at_threshold",
+    "mean_payoff_se", "replications",
+]
+SIM_ROW = [k for k in SIM_KEYS if not k.startswith("win_rate_per_agent")]
+TABLE_ROW = ["n", "threshold", "threshold_ref", "success_prob", "success_prob_ref", "ok"]
+CHECK_ROW = ["quantity", "computed", "reference", "ok"]
+SIM = ["simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "5", "--reps", "2000"]
+
+SCHEMAS = {
+    "solve": (["solve", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "10"],
+              SOLVE_KEYS, SOLVE_KEYS),
+    "sweep": (["sweep", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "10",
+               "--param", "q", "--values", "[0.2,0.5]"],
+              ["sweep"], ["q"] + SOLVE_KEYS),
+    "tables": (["tables", "--name", "table2a"], ["name", "rows", "all_ok"], TABLE_ROW),
+    "tables-check": (["tables", "--name", "example3"], ["name", "rows", "all_ok"], CHECK_ROW),
+    "principal": (["principal", "--dist", U01, "--q", "0.5", "--n", "10", "--W", "2"],
+                  ["threshold", "prize", "regime", "objective_value", "certified",
+                   "stakes_window"], None),
+    "prize-structure": (["prize-structure", "--dist", U01, "--q", "1", "--n", "2",
+                         "--W", "3", "--V", "1"],
+                        ["threshold", "prizes", "mix_weight", "regime", "value",
+                         "stakes_window", "certified"], None),
+    "expert": (["expert", "--dist", U01, "--q", "0.5", "--qe", "0.3", "--n", "3", "--V", "1"],
+               ["threshold", "crowd_success_prob", "total_success_prob", "win_prob",
+                "interior", "critical_expertise", "mode"], None),
+    "hetero": (["hetero", "--dist", U01, "--qvec", "[0.5,0.5,0.5]", "--V", "1", "--W", "2"],
+               ["thresholds", "success_prob", "sweeps", "converged", "principal"],
+               ["agent", "q", "threshold"]),
+    "asymptotics": (["asymptotics", "--dist", UQ, "--q", "0.5", "--V", "1", "--W", "2",
+                     "--rate", "gap"],
+                    ["support_floor", "expected_searchers", "success_prob", "regime",
+                     "limit_optimal_prize", "rate"], None),
+    "simulate": (SIM + ["--deviate-at", "0.2"], SIM_KEYS + ["deviation_gain"], SIM_ROW),
+    "simulate-ranks": (SIM + ["--v", "[0.6,0.4,0,0,0]"],
+                       SIM_KEYS + ["searcher_rank_rates", "searcher_rank_se"], SIM_ROW),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_record_schema(capsys, name):
+    # The CSV header is the results' keys unless the rows differ from it.
+    argv, keys, header = SCHEMAS[name]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert list(rec["results"]) == keys
+    code, out = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[0].split(",") == (keys if header is None else header)
 
 
 # ------------------------------------------------------------- error paths
