@@ -4,26 +4,29 @@ The baseline theory assumes a nondecreasing reverse hazard F/f, which
 pins down a unique symmetric equilibrium. This demo shows what the
 library reports when those assumptions are dropped:
 
-1. A kinked piecewise-linear cost law fails the reverse-hazard check, and
-   the two-player best-response scan finds a whole segment of asymmetric
-   equilibria (c1, 1 - c1) instead of a single point.
+1. On a kinked piecewise-linear cost law F/f drops at c = 3/7, so it
+   rises on two pieces, not one, and the two-player best-response scan
+   finds a whole segment of asymmetric equilibria (c1, 1 - c1) instead of
+   a single point.
 2. With unequal find probabilities the Gauss-Seidel solve produces
    per-agent cutoffs; stronger agents search more, and the success
    probability decomposes agent by agent.
-3. The designer's first-order conditions can land on cutoff vectors that
-   no single prize implements; the solver reports the implied-prize
-   disagreement instead of papering over it.
+3. The designer's ideal cutoffs can form a vector that no single prize
+   implements, for unequal agents and, on the kinked law, for equal ones;
+   the solver reports the implied-prize disagreement instead of papering
+   over it.
 """
 
 import numpy as np
 
 from searchcontest import ConvergenceError
-from searchcontest.distributions import PiecewiseLinear, Uniform, check_reverse_hazard_monotone
+from searchcontest.distributions import PiecewiseLinear, Uniform
 from searchcontest.hetero import (
     HeteroContest,
     agent_win_probabilities,
     best_response_scan_n2,
     solve_principal_hetero,
+    solve_principal_thresholds,
     solve_thresholds,
     success_probability,
 )
@@ -35,11 +38,10 @@ def main():
     kinked = PiecewiseLinear(
         ((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0))
     )
-    ok, where = check_reverse_hazard_monotone(kinked)
     print(LINE)
     print("kinked cost law, two players, q = 1, V = 5/7:")
-    print(f"  reverse hazard F/f nondecreasing? {ok}"
-          + ("" if ok else f"  (violated near c = {where[0]:.4f})"))
+    pieces = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in kinked.rising_pieces())
+    print(f"  F/f rises on {pieces}  (it drops at 3/7 = {3 / 7:.4f})")
     scan = best_response_scan_n2(kinked, 1.0, 5.0 / 7.0)
     c1 = scan.pairs[:, 0]
     print(f"  equilibrium pairs found: {scan.pairs.shape[0]}")
@@ -77,6 +79,14 @@ def main():
     print("  each agent's cutoff divided by their win share is the prize that")
     print("  would induce it; unequal agents want unequal prizes, so the")
     print("  unconstrained optimum dies once abilities diverge.")
+    kinked_pair = HeteroContest((0.5, 0.5), 1.0, kinked)
+    first_best = solve_principal_thresholds(kinked_pair, W=2.0).thresholds
+    print(f"  kinked law, q = (0.5, 0.5), W = 2: ideal cutoffs "
+          f"({first_best[0]:.4f}, {first_best[1]:.4f})")
+    try:
+        solve_principal_hetero(kinked_pair, W=2.0)
+    except ConvergenceError:
+        print("  equal agents, yet the ideal is asymmetric: no single prize implements it.")
 
 
 if __name__ == "__main__":

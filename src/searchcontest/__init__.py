@@ -13,7 +13,6 @@ from .distributions import (
     PiecewiseLinear,
     PowerLaw,
     Uniform,
-    check_reverse_hazard_monotone,
     distribution_from_spec,
 )
 from .equilibrium import (
@@ -36,7 +35,6 @@ __all__ = [
     "PiecewiseLinear",
     "PowerLaw",
     "Uniform",
-    "check_reverse_hazard_monotone",
     "distribution_from_spec",
     "ContestConfig",
     "EquilibriumResult",

@@ -67,27 +67,17 @@ def limit_expected_searchers(c_lo: float, q: float, V: float) -> float:
 
 def limit_success_probability(c_lo: float, q: float, V: float) -> float:
     """Limiting success probability: 1 when c_lo = 0, else 1 - e^{-q kappa}."""
-    _check_limit_args(c_lo, q, V)
-    if c_lo == 0.0:
-        return 1.0
-    kappa = limit_expected_searchers(c_lo, q, V)
-    return -math.expm1(-q * kappa)
+    return limiting_behavior(c_lo, q, V).success_prob
 
 
 def limiting_behavior(c_lo: float, q: float, V: float) -> LimitResult:
-    """Bundle of the large-field limits for the given support floor."""
-    _check_limit_args(c_lo, q, V)
-    if c_lo == 0.0:
-        return LimitResult(
-            expected_searchers=math.inf,
-            success_prob=1.0,
-            regime="lower-bound-zero",
-        )
+    """Bundle of the large-field limits for the given support floor; at a
+    zero floor kappa = inf gives success probability 1."""
     kappa = limit_expected_searchers(c_lo, q, V)
     return LimitResult(
         expected_searchers=kappa,
         success_prob=-math.expm1(-q * kappa),
-        regime="lower-bound-positive",
+        regime="lower-bound-zero" if c_lo == 0.0 else "lower-bound-positive",
     )
 
 

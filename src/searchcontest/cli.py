@@ -76,7 +76,7 @@ def _emit(args, argv, results, rows, started) -> None:
 
 def _json(text: str, flag: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=float)  # an int too large for a float reads as inf
     except json.JSONDecodeError as e:
         raise InputError(f"{flag} is not valid JSON: {e}") from None
 
@@ -87,9 +87,9 @@ def _parse_dist(text: str) -> CostDistribution:
 
 def _floats(text: str, flag: str) -> tuple[float, ...]:
     values = _json(text, flag)
-    if not isinstance(values, list) or not values:
-        raise InputError(f"{flag} must be a nonempty JSON array")
-    return tuple(float(v) for v in values)
+    if not isinstance(values, list) or not values or not all(isinstance(v, float) for v in values):
+        raise InputError(f"{flag} must be a nonempty JSON array of numbers")
+    return tuple(values)
 
 
 def _config_echo(args) -> dict:

@@ -3,7 +3,7 @@
 Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, quantile, the reverse-hazard ratio F/f, and the support
-endpoints, plus three shape facts in closed form: where F/f drops, where it
+endpoints, plus two shape facts in closed form: the pieces on which F/f
 rises, and the maximum of c*f(c). A JSON-dict spec form round-trips through
 ``distribution_from_spec`` / ``to_spec`` for the CLI.
 
@@ -55,11 +55,6 @@ class CostDistribution:
             raise InputError(f"density is zero at c = {c}; F/f undefined")
         return F / f
 
-    def reverse_hazard_drop(self) -> tuple[float, float] | None:
-        """None if F/f is nondecreasing where f > 0, else an interval
-        across which it drops."""
-        raise NotImplementedError
-
     def rising_pieces(self) -> list[tuple[float, float]]:
         """Intervals of positive density on each of which F/f is
         nondecreasing, in order; the density is zero between them."""
@@ -104,9 +99,6 @@ class Uniform(CostDistribution):
     def quantile(self, u: ArrayLike) -> ArrayLike:
         return self.a + np.multiply(u, self.b - self.a)
 
-    def reverse_hazard_drop(self) -> None:
-        return None  # F/f = c - a
-
     def rising_pieces(self) -> list[tuple[float, float]]:
         return [(self.a, self.b)]
 
@@ -149,9 +141,6 @@ class PowerLaw(CostDistribution):
         if self.cdf(c) == 0.0:
             return 0.0
         return c / self.alpha
-
-    def reverse_hazard_drop(self) -> None:
-        return None  # F/f = c / alpha
 
     def rising_pieces(self) -> list[tuple[float, float]]:
         return [(0.0, 1.0)]
@@ -222,25 +211,12 @@ class PiecewiseLinear(CostDistribution):
         out = np.minimum(self._c[i] + step, self._c[-1])
         return out if isinstance(u, np.ndarray) else float(out)
 
-    def reverse_hazard_drop(self) -> tuple[float, float] | None:
-        """F/f rises with slope 1 inside each positive-slope segment, so it
-        drops exactly where the slope rises from one such segment to the
-        next; zero-slope stretches between them leave F unchanged and F/f
-        undefined. Returns the span of the first such pair of segments.
-        The relative slack absorbs the rounding of slopes along collinear
-        knots."""
-        prev = None
-        for i, slope in enumerate(self._slopes):
-            if slope <= 0.0:
-                continue
-            if prev is not None and slope > self._slopes[prev] * (1.0 + 1e-9):
-                return float(self._c[prev]), float(self._c[i + 1])
-            prev = i
-        return None
-
     def rising_pieces(self) -> list[tuple[float, float]]:
         """Runs of positive-slope segments along which the slope never
-        rises (with reverse_hazard_drop's slack), so F/f is nondecreasing."""
+        rises, so F/f is nondecreasing: it rises with slope 1 inside each
+        segment and drops only where the slope rises. A rise of at most a
+        relative 1e-9 counts as none, which absorbs the rounding of slopes
+        along collinear knots."""
         pieces: list[tuple[float, float]] = []
         prev = None
         for i, slope in enumerate(self._slopes):
@@ -274,18 +250,11 @@ def distribution_from_spec(spec: dict) -> CostDistribution:
             return PowerLaw(float(spec["alpha"]))
         if kind == "piecewise_linear":
             return PiecewiseLinear(tuple((float(c), float(F)) for c, F in spec["knots"]))
+    except InputError:
+        raise
     except KeyError as exc:
         raise InputError(f"distribution spec missing field: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {kind!r} distribution spec: {exc}") from exc
     raise InputError(f"unknown distribution kind: {kind!r}")
 
-
-def check_reverse_hazard_monotone(d: CostDistribution) -> tuple[bool, tuple[float, float] | None]:
-    """Is F/f nondecreasing wherever the density is positive?
-
-    Returns (ok, violating_interval), decided exactly per family.
-    Violations occur only at piecewise-linear knots where the slope rises.
-    The per-agent designer system needs ok; the single-prize and structure
-    designers solve per ``rising_pieces`` and need no such condition.
-    """
-    drop = d.reverse_hazard_drop()
-    return drop is None, drop

@@ -35,13 +35,14 @@ from ._errors import (
     ConvergenceError, InputError, check_find_probabilities, check_find_probability, check_positive,
 )
 from ._numerics import bisect_root
-from .distributions import CostDistribution, check_reverse_hazard_monotone
+from .distributions import CostDistribution
 from .equilibrium import ContestConfig, solve_threshold
 from .principal import _best_cutoff
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
 PRIZE_AGREEMENT_TOL = 1e-8
+SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,10 @@ def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVec
 
     With the other cutoffs fixed, the designer's objective in c_i is
     (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - q_j F(c_j)), so each
-    step is the exact single-prize designer maximizer with one sure finder;
-    its first-order condition is c_i + F/f(c_i) = K_i. A nondecreasing F/f
-    is checked up front, as the single-prize theory requires.
+    step is the exact single-prize designer maximizer with one sure finder,
+    ``principal._best_cutoff``, which holds on any cost law.
     """
     check_positive("W", W)
-    ok, where = check_reverse_hazard_monotone(contest.dist)
-    if not ok:
-        raise InputError(
-            f"designer system needs a nondecreasing F/f; violated near {where}"
-        )
     d = contest.dist
     lo, hi = d.support()
     q = np.asarray(contest.q_values)
@@ -264,12 +259,11 @@ def best_response_scan_n2(
     q: float,
     V: float,
     grid: int = 10001,
-    tol: float = 1e-9,
 ) -> N2ScanResult:
     """Map the full two-player equilibrium set by scanning best responses.
 
     A pair (c1, BR(c1)) is an equilibrium iff BR(BR(c1)) = c1. Grid points
-    satisfying that within tol are accepted directly (this catches
+    satisfying that within SCAN_TOL are accepted directly (this catches
     continuum segments, where the composition is the identity); sign
     changes of the gap between grid points are refined by bisection to
     catch isolated equilibria that miss the grid. Boundary-clamped pairs
@@ -289,10 +283,10 @@ def best_response_scan_n2(
         return best_response_n2(d, q, V, best_response_n2(d, q, V, c1)) - c1
 
     gaps = np.array([gap(float(c)) for c in grid_pts])
-    accepted = [float(c) for c, g in zip(grid_pts, gaps) if abs(g) <= tol]
+    accepted = [float(c) for c, g in zip(grid_pts, gaps) if abs(g) <= SCAN_TOL]
     for i in range(count - 1):
         ga, gb = float(gaps[i]), float(gaps[i + 1])
-        if abs(ga) <= tol or abs(gb) <= tol:
+        if abs(ga) <= SCAN_TOL or abs(gb) <= SCAN_TOL:
             continue
         if ga * gb < 0.0:
             accepted.append(bisect_root(gap, float(grid_pts[i]), float(grid_pts[i + 1])))
@@ -310,7 +304,7 @@ def best_response_scan_n2(
             segments[-1] = (segments[-1][0], c1)
         else:
             segments.append((c1, c1))
-    has_symmetric = any(abs(c1 - c2) <= max(tol, 1e-9) for c1, c2 in pairs)
+    has_symmetric = any(abs(c1 - c2) <= SCAN_TOL for c1, c2 in pairs)
     return N2ScanResult(
         pairs=np.array(pairs).reshape(-1, 2),
         segments=segments,

@@ -378,6 +378,33 @@ def test_nan_threshold_exits_two(capsys):
     assert "support" in capsys.readouterr().err
 
 
+SIM = ["simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "4", "--reps", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "10", "--values", '["a"]'],
+        ["hetero", "--dist", U01, "--qvec", "[[1]]", "--V", "1"],
+        SIM + ["--threshold", "[0.1,null,0.1,0.1]"],
+        SIM + ["--v", "[1,true,0,0]"],
+        SIM + ["--v", "[1" + "0" * 400 + ",0,0,0]"],
+        ["asymptotics", "--dist", U01, "--q", "0.5", "--V", "1", "--rate", "gap",
+         "--n-values", '[10,100,"x"]'],
+        ["solve", "--dist", '{"kind":"uniform","a":"x","b":1}', "--q", "0.5", "--V", "1",
+         "--n", "2"],
+        ["solve", "--dist", '{"kind":"piecewise_linear","knots":[[0,0],[1]]}', "--q", "0.5",
+         "--V", "1", "--n", "2"],
+        ["solve", "--dist", '{"kind":"piecewise_linear","knots":5}', "--q", "0.5", "--V", "1",
+         "--n", "2"],
+    ],
+)
+def test_malformed_json_input_exits_two(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -10,7 +10,6 @@ from searchcontest.distributions import (
     PiecewiseLinear,
     PowerLaw,
     Uniform,
-    check_reverse_hazard_monotone,
     distribution_from_spec,
 )
 
@@ -203,6 +202,10 @@ def test_spec_round_trip(d):
         {"kind": "gaussian"},
         {"kind": "uniform", "a": 0.0},
         {"kind": "power"},
+        {"kind": "uniform", "a": "x", "b": 1.0},
+        {"kind": "piecewise_linear", "knots": [[0.0, 0.0], [1.0]]},
+        {"kind": "piecewise_linear", "knots": 5},
+        {"kind": "power", "alpha": 10**400},
     ],
 )
 def test_spec_rejects_malformed(spec):
@@ -210,51 +213,7 @@ def test_spec_rejects_malformed(spec):
         distribution_from_spec(spec)
 
 
-# ------------------------------------------------- reverse-hazard diagnostic
-
-
-@pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Uniform(0.25, 1.25), PowerLaw(20.0)])
-def test_reverse_hazard_monotone_for_regular_families(d):
-    ok, where = check_reverse_hazard_monotone(d)
-    assert ok
-    assert where is None
-
-
-def test_reverse_hazard_monotone_detects_kink_violation():
-    # Slope jumps from 0.8 up to 5 at c = 0.5, so F/f drops there.
-    d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0)))
-    ok, where = check_reverse_hazard_monotone(d)
-    assert not ok
-    assert where is not None and where[0] < 0.5 < where[1] + 0.01
-
-
-def test_reverse_hazard_monotone_spans_flat_stretch():
-    # FLAT_KNOTS: density jumps from 1 to 5/3 after the stretch, so F/f
-    # drops across it; the skipped points must not mask the violation.
-    ok, where = check_reverse_hazard_monotone(PiecewiseLinear(FLAT_KNOTS))
-    assert not ok
-    assert where[0] < 0.5 and where[1] > 0.7
-
-    # Gentler resume slope keeps F/f nondecreasing across the stretch.
-    gentle = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.7, 1.0)))
-    ok, where = check_reverse_hazard_monotone(gentle)
-    assert ok and where is None
-
-
-def test_reverse_hazard_monotone_catches_a_drop_between_samples():
-    # F/f drops from 0.5 to 0.4995 at c = 0.5, a drop that a 512-point
-    # sample of F/f misses.
-    d = PiecewiseLinear(SMALL_RISE_KNOTS)
-    ok, where = check_reverse_hazard_monotone(d)
-    assert not ok
-    assert where == (0.0, 0.5999)
-
-
-def test_reverse_hazard_monotone_passes_collinear_knots():
-    # Uniform on [0.25, 1.25] written as 11 knots; the slopes round to
-    # values up to 2e-15 apart, rising at some knots.
-    d = PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11)))
-    assert check_reverse_hazard_monotone(d) == (True, None)
+# ------------------------------------------------------- shape of F/f
 
 
 @pytest.mark.parametrize(
@@ -271,8 +230,39 @@ def test_reverse_hazard_monotone_passes_collinear_knots():
         (PiecewiseLinear(SMALL_RISE_KNOTS), [(0.0, 0.5), (0.5, 1.0)]),
         # Collinear knots whose slopes differ only by rounding: one piece.
         (PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11))), [(0.25, 1.25)]),
+        # Slope jumps from 0.8 up to 5 at c = 0.5, so F/f drops there.
+        (PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0))),
+         [(0.0, 0.5), (0.5, 1.0)]),
+        # A gentler slope after the stretch: F/f rises across it, but f = 0 between.
+        (PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.7, 1.0))),
+         [(0.0, 0.5), (0.7, 1.7)]),
     ],
 )
 def test_rising_pieces(d, pieces):
     assert d.rising_pieces() == pieces
+
+
+@pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Uniform(0.25, 1.25), PowerLaw(20.0)])
+def test_reverse_hazard_monotone_for_regular_families(d):
+    # F/f is c - a or c / alpha: nondecreasing, so one piece spans the support.
+    assert d.rising_pieces() == [d.support()]
+
+
+def test_reverse_hazard_monotone_catches_a_drop_between_samples():
+    # F/f drops from 0.5 to 0.4995 at c = 0.5, a drop that a 512-point
+    # sample of F/f misses; the pieces split exactly there.
+    d = PiecewiseLinear(SMALL_RISE_KNOTS)
+    (_, top), (bottom, _) = d.rising_pieces()
+    assert top == bottom == 0.5
+    assert d.reverse_hazard(0.5) == pytest.approx(0.4995, abs=1e-4)
+    assert d.reverse_hazard(0.5) < d.reverse_hazard(math.nextafter(0.5, 0.0))
+
+
+def test_reverse_hazard_monotone_passes_collinear_knots():
+    # Uniform on [0.25, 1.25] written as 11 knots; the slopes round to
+    # values up to 2e-15 apart, rising at some knots, yet F/f is c - 0.25.
+    d = PiecewiseLinear(tuple((0.25 + i * 0.1, i * 0.1) for i in range(11)))
+    assert d.rising_pieces() == Uniform(0.25, 1.25).rising_pieces()
+    c = np.linspace(0.3, 1.2, 10)
+    assert [d.reverse_hazard(x) for x in c] == pytest.approx(c - 0.25, abs=1e-12)
 

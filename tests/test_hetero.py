@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -252,9 +253,53 @@ def test_principal_thresholds_validation():
     contest = HeteroContest((0.8, 0.5), 1.0, U01)
     with pytest.raises(InputError):
         solve_principal_thresholds(contest, W=0.0)
-    bumpy_contest = HeteroContest((0.8, 0.5), 1.0, BUMPY)
-    with pytest.raises(InputError):
-        solve_principal_thresholds(bumpy_contest, W=2.0)
+
+
+@pytest.mark.parametrize("d", [KINKED, BUMPY], ids=["kinked", "bumpy"])
+@pytest.mark.parametrize(
+    "q_values,W",
+    [((0.8, 0.5), 2.0), ((0.5, 0.5), 2.0), ((0.9, 0.6, 0.3), 3.0), ((0.5,) * 5, 2.0),
+     ((1.0, 0.7), 1.0)],
+)
+def test_principal_thresholds_on_kinked_and_bumpy_laws(d, q_values, W):
+    # F/f drops on both laws; each cutoff must still be its agent's best
+    # step (K_i - c) F(c) against a dense grid.
+    contest = HeteroContest(q_values, 1.0, d)
+    sol = solve_principal_thresholds(contest, W)
+    assert sol.converged
+    lo, hi = d.support()
+    grid = np.linspace(lo, hi, 20001)
+    F_grid = np.array([d.cdf(x) for x in grid])
+    q = np.asarray(contest.q_values)
+    F = np.array([d.cdf(x) for x in sol.thresholds])
+    for i, c_i in enumerate(sol.thresholds):
+        K = W * q[i] * np.prod(np.delete(1.0 - q * F, i))
+        assert (K - c_i) * F[i] >= np.max((K - grid) * F_grid) - 1e-12
+
+
+def test_principal_hetero_on_a_kinked_law_matches_the_single_prize(capsys):
+    base = optimal_prize(KINKED, 0.5, 2, 1.0)
+    assert base.prize == pytest.approx(0.4724409448817, abs=1e-10)
+    knots = json.dumps(KINKED.to_spec())
+    argv = ["hetero", "--dist", knots, "--qvec", "[0.5,0.5]", "--V", "1", "--W", "1"]
+    assert cli.main(argv) == 0
+    prize = json.loads(capsys.readouterr().out)["results"]["principal"]["prize"]
+    assert prize == pytest.approx(base.prize, abs=1e-10)
+
+
+def test_principal_hetero_on_a_kinked_law_wants_unequal_cutoffs():
+    # Equal agents, but the designer's best cutoffs differ, so no single
+    # prize implements them; they beat the best symmetric pair.
+    contest = HeteroContest((0.5, 0.5), 1.0, KINKED)
+    with pytest.raises(ConvergenceError):
+        solve_principal_hetero(contest, W=2.0)
+    c = solve_principal_thresholds(contest, W=2.0).thresholds
+    F = np.array([KINKED.cdf(x) for x in c])
+    first_best = 2.0 * success_probability(contest, c) - np.dot(c, F)
+    grid = np.linspace(0.0, 1.0, 20001)
+    F_grid = np.array([KINKED.cdf(x) for x in grid])
+    symmetric = np.max(2.0 * (1.0 - (1.0 - 0.5 * F_grid) ** 2) - 2.0 * grid * F_grid)
+    assert first_best > symmetric + 1e-3
 
 
 def test_principal_thresholds_on_a_zero_density_stretch():
