@@ -140,7 +140,10 @@ def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
         raise InputError("simulation needs an integer field size n")
     thresholds = sim.thresholds
     if np.isscalar(thresholds):
-        thr = np.full(n, float(thresholds))
+        try:
+            thr = np.full(n, float(thresholds))
+        except MemoryError:
+            raise InputError(f"n = {n} agents do not fit in memory for simulation") from None
     else:
         thr = np.asarray(thresholds, dtype=float)
         if thr.shape != (n,):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
 from ._numerics import win_rate
@@ -92,16 +91,31 @@ def _check_rank_args(d: CostDistribution, q: float, n: int, m: int, c_hat: float
     return d.cdf(c_hat)
 
 
+def _binomial_pmf(N: int, x: float) -> np.ndarray:
+    """pmf of Binomial(N, x) on 0..N; a point mass at x <= 0 or x >= 1.
+
+    In log space, log C(N, k) is the running sum of log((N - k + 1) / k),
+    kept apart from the x terms so that their rounding does not pile up
+    along it. Rescaling to unit total cancels the rounding neighbouring k share.
+    """
+    if x <= 0.0 or x >= 1.0:
+        return np.eye(1, N + 1, N if x >= 1.0 else 0)[0]
+    k = np.arange(N + 1, dtype=float)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((N - k[1:] + 1.0) / k[1:]))))
+    pmf = np.exp(log_comb + k * math.log(x) + (N - k) * math.log1p(-x))
+    return pmf / pmf.sum()
+
+
 def prob_at_least_m_find(
     d: CostDistribution, q: float, n: int, m: int, c_hat: float
 ) -> float:
     """Probability that at least m agents find the object at cutoff c_hat.
 
     The finder count is Binomial(n, q F(c_hat)) by thinning, so this is
-    its upper tail at m.
+    its upper tail at m, summed from the top.
     """
     F = _check_rank_args(d, q, n, m, c_hat)
-    return float(binom.sf(m - 1, n, q * F))
+    return float(np.sum(_binomial_pmf(n, q * F)[m:][::-1]))
 
 
 def rank_win_probability(
@@ -120,13 +134,6 @@ def rank_win_probability(
     return prob_at_least_m_find(d, q, n, m, c_hat) / (n * F)
 
 
-def _rival_finder_pmf(q: float, n: int, F: float) -> np.ndarray:
-    """pmf of a searcher's rival finder count: Binomial(n-1, q F)."""
-    if q * F < 1e-300:  # a point mass at 0 to double precision; scipy overflows near 1e-308
-        return np.eye(1, n)[0]
-    return binom.pmf(np.arange(n), n - 1, q * F)
-
-
 def expected_prize_per_searcher(
     d: CostDistribution, q: float, n: int, structure: PrizeStructure, c_hat: float
 ) -> float:
@@ -140,18 +147,22 @@ def expected_prize_per_searcher(
     F = _check_rank_args(d, q, n, 1, c_hat)
     v = np.asarray(structure.values)
     top_means = np.cumsum(v) / np.arange(1, n + 1)
-    return q * float(np.dot(_rival_finder_pmf(q, n, F), top_means))
+    return q * float(_binomial_pmf(n - 1, q * F) @ top_means)
 
 
 def expected_payout(
     d: CostDistribution, q: float, n: int, structure: PrizeStructure, c_hat: float
 ) -> float:
-    """Designer's expected prize bill: sum_m v_m * prob_at_least_m_find(m)."""
+    """Designer's expected prize bill, E[cumsum(v)[K]] with cumsum(v)[0] = 0.
+
+    The K ~ Binomial(n, q F) finders take ranks 1..K, so this equals
+    sum_m v_m * prob_at_least_m_find(m).
+    """
     if structure.n != n:
         raise InputError(f"structure has {structure.n} prizes but n = {n}")
     F = _check_rank_args(d, q, n, 1, c_hat)
-    tails = binom.sf(np.arange(n), n, q * F)  # P(T >= m), m = 1..n
-    return float(np.dot(np.asarray(structure.values), tails))
+    paid = np.concatenate(([0.0], np.cumsum(structure.values)))
+    return float(_binomial_pmf(n, q * F) @ paid)
 
 
 def solve_threshold_multi(

@@ -190,6 +190,17 @@ def limit_success_lambertw(c_lo, q, V):
         return -mpmath.expm1(-mpmath.mpf(q) * kappa)
 
 
+def binomial_tail_mp(n, x, m):
+    """P(Binomial(n, x) >= m) as an mpf with LIMIT_DPS digits.
+
+    A literal sum of exact integer binomials times powers of the double x,
+    for fields too large for the Fraction sums above.
+    """
+    with mpmath.workdps(LIMIT_DPS):
+        x = mpmath.mpf(x)
+        return mpmath.fsum(math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range(m, n + 1))
+
+
 # Float versions of the rank-prize double sums, called like the library
 # functions they check: (distribution, q, n, m, cutoff).
 

@@ -132,8 +132,8 @@ def test_principal_on_a_zero_density_stretch(capsys):
 
 
 def test_prize_structure_at_a_tiny_find_probability(capsys):
-    # The equal-split cutoff q V / n puts q F near 5e-309, where scipy's
-    # binomial pmf overflowed.
+    # The equal-split cutoff q V / n puts q F near 5e-309, a subnormal
+    # find chance for the rank-prize binomial law.
     argv = ["prize-structure", "--dist", U01, "--q", "1e-154", "--n", "2", "--W", "1", "--V", "1"]
     code, rec = run_json(capsys, argv)
     assert code == 0
@@ -203,6 +203,14 @@ def test_hetero_with_sure_finders_prints_no_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["results"]["success_prob"] == 1.0
+
+
+def test_simulate_rejects_a_field_too_large_for_memory(capsys):
+    argv = ["simulate", "--dist", U01, "--q", "0.5", "--V", "1", "--n", "1e12", "--reps", "10"]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "1000000000000" in err
 
 
 def test_hetero_principal_nonconvergence_exits_three(capsys):
@@ -428,6 +436,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rec = json.loads(path.read_text())
     assert rec["results"]["threshold"] == pytest.approx(CSTAR_10, abs=1e-9)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import searchcontest.cli, sys; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from searchcontest import InputError
+from searchcontest._numerics import prob_any
 from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
 from searchcontest.multiprize import (
@@ -85,6 +86,18 @@ def test_tail_probability_frozen_point():
 def test_tail_monotone_in_rank():
     vals = [prob_at_least_m_find(U01, 0.6, 6, m, 0.7) for m in range(1, 7)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("x", [1e-12, 0.3, 0.999, 1.0 - 1e-9])
+def test_tail_probability_at_large_n(n, x):
+    # U[0, 1] at q = 1 makes q F the cutoff itself, so x is the find chance.
+    for m in (1, n // 2, n):
+        got = prob_at_least_m_find(U01, 1.0, n, m, x)
+        ref = float(oracles.binomial_tail_mp(n, x, m))
+        assert got == pytest.approx(ref, rel=1e-11) or (ref < 1e-300 and got == 0.0)
+    wta = PrizeStructure.winner_takes_all(2.0, n)
+    assert expected_payout(U01, 1.0, n, wta, x) == pytest.approx(2.0 * prob_any(x, n), rel=1e-12)
 
 
 @pytest.mark.parametrize("F,q,n,m", DRAWS)
@@ -336,11 +349,12 @@ def test_optimal_structure_stakes_window():
 
 def test_optimal_structure_with_ends_in_a_zero_density_stretch():
     # Density 2 on [0, 1/2], zero above: both ends of the achievable
-    # interval (1/2 + 2 ulp, 0.875) carry F > 0 = f, so their stakes are +inf.
+    # interval (1/2, 0.875) carry F > 0 = f, so their stakes are +inf. The
+    # equal-split cutoff is exactly q V / n = 1/2.
     d = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)))
     sol = optimal_prize_structure(d, 0.5, 3, 2.0, 3.0)
     assert sol.regime == "equal-split"
-    assert sol.threshold == 0.5000000000000002
+    assert sol.threshold == 0.5
     assert sol.stakes_window == (math.inf, math.inf)
 
 
