@@ -178,9 +178,8 @@ def _cmd_hetero(args):
     q_vec = _floats(args.qvec, "--qvec")
     contest = het_mod.HeteroContest(q_vec, args.V, d)
     tv = _hetero_thresholds(contest)
-    thresholds = contest.to_input_order(tv.thresholds)
     payload = {
-        "thresholds": thresholds,
+        "thresholds": tv.thresholds,
         "success_prob": het_mod.success_probability(contest, tv.thresholds),
         "sweeps": tv.sweeps,
         "converged": tv.converged,
@@ -188,12 +187,12 @@ def _cmd_hetero(args):
     if args.W is not None:
         sol = het_mod.solve_principal_hetero(contest, args.W)
         payload["principal"] = {
-            "thresholds": contest.to_input_order(sol.thresholds),
+            "thresholds": sol.thresholds,
             "prize": sol.prize,
             "implied_prize_spread": sol.spread,
         }
     rows = [{"agent": i, "q": q, "threshold": float(c)}
-            for i, (q, c) in enumerate(zip(q_vec, thresholds))]
+            for i, (q, c) in enumerate(zip(q_vec, tv.thresholds))]
     return payload, rows
 
 
@@ -227,13 +226,17 @@ def _equilibrium_thresholds(d, cfg, variant):
             d, cfg.q, variant.structure.n, variant.structure).threshold
     if isinstance(variant, mc_mod.PerAgentFind):
         contest = het_mod.HeteroContest(variant.q_values, cfg.V, d)
-        return tuple(contest.to_input_order(_hetero_thresholds(contest).thresholds))
+        return tuple(_hetero_thresholds(contest).thresholds)
     return solve_threshold(d, cfg).threshold
 
 
 def _cmd_simulate(args):
     d = _parse_dist(args.dist)
     cfg = ContestConfig(n=args.n, q=args.q, V=args.V)
+    chosen = [flag for flag, value in (("--qe", args.qe), ("--v", args.v), ("--qvec", args.qvec))
+              if value is not None]
+    if len(chosen) > 1:
+        raise InputError(f"choose at most one variant, got {' and '.join(chosen)}")
     if args.qe is not None:
         variant = mc_mod.WithExpert(args.qe, args.mode)
     elif args.v is not None:

@@ -2,10 +2,14 @@
 
 Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
-exposes cdf, pdf, quantile, the reverse-hazard ratio F/f, and the support
-endpoints, plus two shape facts in closed form: the pieces on which F/f
-rises, and the maximum of c*f(c). A JSON-dict spec form round-trips through
+exposes cdf, pdf, the reverse-hazard ratio F/f, and the support endpoints,
+plus two shape facts in closed form: the pieces on which F/f rises, and the
+maximum of c*f(c). A JSON-dict spec form round-trips through
 ``distribution_from_spec`` / ``to_spec`` for the CLI.
+
+Every method takes and returns plain Python floats: the solvers evaluate
+one point at a time, where numpy's per-call cost would outweigh the
+arithmetic.
 
 Conventions:
 
@@ -19,14 +23,11 @@ Conventions:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Union
-
-import numpy as np
+from itertools import accumulate
 
 from ._errors import InputError
-
-ArrayLike = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,6 @@ class CostDistribution:
         raise NotImplementedError
 
     def pdf(self, c: float) -> float:
-        raise NotImplementedError
-
-    def quantile(self, u: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
     def reverse_hazard(self, c: float) -> float:
@@ -96,9 +94,6 @@ class Uniform(CostDistribution):
         self._check_in_support(c)
         return 1.0 / (self.b - self.a)
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        return self.a + np.multiply(u, self.b - self.a)
-
     def rising_pieces(self) -> list[tuple[float, float]]:
         return [(self.a, self.b)]
 
@@ -134,9 +129,6 @@ class PowerLaw(CostDistribution):
         # alpha < 1 diverges at 0; callers only evaluate interior points.
         return self.alpha * c ** (self.alpha - 1.0)
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        return np.power(u, 1.0 / self.alpha)
-
     def reverse_hazard(self, c: float) -> float:
         if self.cdf(c) == 0.0:
             return 0.0
@@ -157,39 +149,40 @@ class PiecewiseLinear(CostDistribution):
     """CDF interpolating (c_i, F_i) knots; density is piecewise constant."""
 
     knots: tuple[tuple[float, float], ...]
-    _c: np.ndarray = field(init=False, repr=False, compare=False)
-    _F: np.ndarray = field(init=False, repr=False, compare=False)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _c: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _F: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [(float(c), float(F)) for c, F in self.knots]
+        pts = tuple((float(c), float(F)) for c, F in self.knots)
         if len(pts) < 2:
             raise InputError("piecewise-linear CDF needs at least 2 knots")
-        c = np.array([p[0] for p in pts])
-        F = np.array([p[1] for p in pts])
-        if not np.all(np.isfinite(pts)):
+        if not all(math.isfinite(c) and math.isfinite(F) for c, F in pts):
             raise InputError("knots must be finite")
-        if c[0] < 0.0 or np.any(np.diff(c) <= 0.0):
+        c = tuple(p[0] for p in pts)
+        F = [p[1] for p in pts]
+        if c[0] < 0.0 or any(b <= a for a, b in zip(c, c[1:])):
             raise InputError("knot abscissae must be nonnegative and strictly increasing")
         if abs(F[0]) > 1e-12 or abs(F[-1] - 1.0) > 1e-12:
             raise InputError("knot CDF values must run from 0 to 1")
-        if np.any(np.diff(F) < -1e-15):
+        if any(b - a < -1e-15 for a, b in zip(F, F[1:])):
             raise InputError("knot CDF values must be nondecreasing")
         F[0], F[-1] = 0.0, 1.0
-        F = np.maximum.accumulate(F)
-        object.__setattr__(self, "knots", tuple(pts))
+        F = tuple(accumulate(F, max))
+        slopes = tuple((F[i + 1] - F[i]) / (c[i + 1] - c[i]) for i in range(len(c) - 1))
+        object.__setattr__(self, "knots", pts)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_F", F)
-        object.__setattr__(self, "_slopes", np.diff(F) / np.diff(c))
+        object.__setattr__(self, "_slopes", slopes)
 
     def support(self) -> tuple[float, float]:
-        return (float(self._c[0]), float(self._c[-1]))
+        return (self._c[0], self._c[-1])
 
     def _segment(self, c: float) -> int:
-        # Index i such that c falls in [c_i, c_{i+1}); final knot maps to
-        # the last segment so pdf there is the left slope.
-        i = int(np.searchsorted(self._c, c, side="right")) - 1
-        return min(max(i, 0), len(self._slopes) - 1)
+        # Index i such that c falls in [c_i, c_{i+1}) for c >= c_0; the
+        # final knot (and NaN) maps to the last segment, so pdf there is
+        # the left slope.
+        return min(bisect_right(self._c, c), len(self._slopes)) - 1
 
     def cdf(self, c: float) -> float:
         if c <= self._c[0]:
@@ -197,19 +190,11 @@ class PiecewiseLinear(CostDistribution):
         if c >= self._c[-1]:
             return 1.0
         i = self._segment(c)
-        return float(self._F[i] + self._slopes[i] * (c - self._c[i]))
+        return self._F[i] + self._slopes[i] * (c - self._c[i])
 
     def pdf(self, c: float) -> float:
         self._check_in_support(c)
-        return float(self._slopes[self._segment(c)])
-
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        u_arr = np.asarray(u, dtype=float)
-        i = np.clip(np.searchsorted(self._F, u_arr, side="right") - 1, 0, len(self._slopes) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(self._slopes[i] > 0.0, (u_arr - self._F[i]) / self._slopes[i], 0.0)
-        out = np.minimum(self._c[i] + step, self._c[-1])
-        return out if isinstance(u, np.ndarray) else float(out)
+        return self._slopes[self._segment(c)]
 
     def rising_pieces(self) -> list[tuple[float, float]]:
         """Runs of positive-slope segments along which the slope never
@@ -223,16 +208,16 @@ class PiecewiseLinear(CostDistribution):
             if slope <= 0.0:
                 prev = None
                 continue
-            start = float(self._c[i])
+            start = self._c[i]
             if prev is not None and slope <= self._slopes[prev] * (1.0 + 1e-9):
                 start = pieces.pop()[0]
-            pieces.append((start, float(self._c[i + 1])))
+            pieces.append((start, self._c[i + 1]))
             prev = i
         return pieces
 
     def max_c_pdf(self) -> float:
         # c*f(c) rises across each segment, so its maximum sits at a right end.
-        return float(np.max(self._c[1:] * self._slopes))
+        return max(c * s for c, s in zip(self._c[1:], self._slopes))
 
     def to_spec(self) -> dict:
         return {"kind": "piecewise_linear", "knots": [[c, F] for c, F in self.knots]}

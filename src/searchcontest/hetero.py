@@ -27,7 +27,7 @@ of asymmetric equilibria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,48 +47,36 @@ SCAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HeteroContest:
-    """Per-agent find probabilities (stored sorted nonincreasing), prize,
-    and the shared cost distribution.
-
-    ``order`` maps sorted positions back to the constructor's ordering:
-    sorted position i corresponds to input index order[i].
-    """
+    """Per-agent find probabilities, prize, and the shared cost
+    distribution. Agent i is q_values[i], in the caller's order, and every
+    per-agent vector below is indexed the same way."""
 
     q_values: tuple[float, ...]
     V: float
     dist: CostDistribution
-    order: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        q = [float(v) for v in self.q_values]
+        q = tuple(float(v) for v in self.q_values)
         if len(q) < 1:
             raise InputError("need at least one agent")
         check_find_probabilities(q)
         check_positive("V", self.V)
-        perm = sorted(range(len(q)), key=lambda i: -q[i])
-        object.__setattr__(self, "q_values", tuple(q[i] for i in perm))
-        object.__setattr__(self, "order", tuple(perm))
+        object.__setattr__(self, "q_values", q)
 
     @property
     def n(self) -> int:
         return len(self.q_values)
 
-    def to_input_order(self, values) -> np.ndarray:
-        """Reorder a sorted-position vector back to constructor order."""
-        out = np.empty(self.n)
-        out[list(self.order)] = values
-        return out
-
 
 @dataclass(frozen=True)
 class ThresholdVector:
-    thresholds: np.ndarray  # aligned with the contest's sorted q_values
+    thresholds: np.ndarray  # thresholds[i] is agent i's cutoff
     converged: bool
     sweeps: int
 
 
 def _find_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
-    """pi_j = q_j F(c_j) for a vector of cutoffs in sorted position."""
+    """pi_j = q_j F(c_j) for a vector of per-agent cutoffs."""
     c = np.asarray(thresholds, dtype=float)
     if c.shape != (contest.n,):
         raise InputError(f"expected {contest.n} thresholds, got shape {c.shape}")
@@ -107,8 +95,8 @@ def _log_factors(pi, t: np.ndarray) -> np.ndarray:
 
 
 def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
-    """Win probability psi_i of each searching agent (sorted position)
-    when the agents use the given cutoffs."""
+    """Win probability psi_i of each searching agent when the agents use
+    the given cutoffs."""
     t, w = _quadrature(contest.n)
     rows = _log_factors(_find_probabilities(contest, thresholds), t)
     return np.asarray(contest.q_values) * (np.exp(rows.sum(axis=0) - rows) @ w)

@@ -94,8 +94,8 @@ class SimConfig:
     def __post_init__(self):
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise InputError(f"replications must be a positive integer, got {self.replications!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InputError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -418,11 +418,11 @@ def deviation_gain(
 ) -> GainEstimate:
     """Estimated payoff gain from searching at a fixed cost.
 
-    The tagged agent (sorted position 0 for per-agent variants) always
-    searches at cost ``at_cost`` while rivals play the configured
-    thresholds; the gain is their expected prize minus the cost. At the
-    equilibrium cutoff this should be statistically indistinguishable
-    from zero.
+    The tagged agent, agent 0 (with find probability ``q_values[0]`` for
+    `PerAgentFind`), always searches at cost ``at_cost`` while rivals play
+    the configured thresholds; the gain is their expected prize minus the
+    cost. At the equilibrium cutoff this should be statistically
+    indistinguishable from zero.
     """
     n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
     d._check_in_support(at_cost)

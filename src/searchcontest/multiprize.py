@@ -64,12 +64,22 @@ class PrizeStructure:
         return float(sum(self.values))
 
     @staticmethod
+    def _top_and_rest(top: float, rest: float, n: int) -> "PrizeStructure":
+        """The top prize, then n - 1 equal ones."""
+        try:
+            values = (top,) + (rest,) * (int(n) - 1)
+        except MemoryError:
+            raise InputError(f"n = {n} prizes do not fit in memory") from None
+        return PrizeStructure(values)
+
+    @staticmethod
     def winner_takes_all(V: float, n: int) -> "PrizeStructure":
-        return PrizeStructure((float(V),) + (0.0,) * (int(n) - 1))
+        return PrizeStructure._top_and_rest(float(V), 0.0, n)
 
     @staticmethod
     def equal_split(V: float, n: int) -> "PrizeStructure":
-        return PrizeStructure((float(V) / int(n),) * int(n))
+        share = float(V) / int(n)
+        return PrizeStructure._top_and_rest(share, share, n)
 
     @staticmethod
     def mixed(V: float, n: int, weight: float) -> "PrizeStructure":
@@ -77,8 +87,7 @@ class PrizeStructure:
         if not (0.0 <= weight <= 1.0):
             raise InputError(f"mix weight must lie in [0, 1], got {weight}")
         base = (1.0 - weight) * float(V) / int(n)
-        vals = [base + weight * float(V)] + [base] * (int(n) - 1)
-        return PrizeStructure(tuple(vals))
+        return PrizeStructure._top_and_rest(base + weight * float(V), base, n)
 
 
 def _check_rank_args(d: CostDistribution, q: float, n: int, m: int, c_hat: float) -> float:

@@ -162,17 +162,14 @@ def test_criterion_08_closed_forms_match_brute_force():
         q_vec = tuple(rng.uniform(0.05, 1.0, size=k))
         thresholds = rng.uniform(0.05, 0.95, size=k)
         contest = HeteroContest(q_vec, 1.0, U01)
-        c_sorted = np.sort(thresholds)[::-1]
         i = int(rng.integers(0, k))
-        rival_pi = np.delete(
-            np.asarray(contest.q_values) * np.array([U01.cdf(t) for t in c_sorted]), i
-        )
-        psi = agent_win_probabilities(contest, c_sorted)
+        F_thr = np.array([U01.cdf(t) for t in thresholds])
+        rival_pi = np.delete(np.asarray(contest.q_values) * F_thr, i)
+        psi = agent_win_probabilities(contest, thresholds)
         assert abs(psi[i] - oracles.psi_subsets(contest.q_values[i], rival_pi)) <= 1e-12
 
-        F_sorted = np.array([U01.cdf(t) for t in c_sorted])
-        decomposition = float(F_sorted @ psi)
-        assert abs(het_success_probability(contest, c_sorted) - decomposition) <= 1e-10
+        decomposition = float(F_thr @ psi)
+        assert abs(het_success_probability(contest, thresholds) - decomposition) <= 1e-10
 
 
 def test_criterion_09_simulation_calibration():

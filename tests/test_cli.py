@@ -413,6 +413,82 @@ def test_malformed_json_input_exits_two(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_prize_structure_rejects_a_field_too_large_for_memory(capsys):
+    argv = ["prize-structure", "--dist", U01, "--q", "0.5", "--n", "1e12", "--W", "2",
+            "--V", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1000000000000" in err
+
+
+def test_simulate_rejects_a_negative_seed(capsys):
+    assert cli.main(SIM + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+
+
+VARIANT_FLAGS = {"--qe": "0.5", "--v": "[1,0,0,0]", "--qvec": "[0.5,0.5,0.5,0.5]"}
+
+
+@pytest.mark.parametrize("pair", [("--qe", "--v"), ("--qe", "--qvec"), ("--v", "--qvec")])
+def test_simulate_rejects_two_variants(capsys, pair):
+    assert cli.main(SIM + [arg for flag in pair for arg in (flag, VARIANT_FLAGS[flag])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and pair[0] in err and pair[1] in err
+
+
+# Inputs at the extremes: every run ends in a result (0), an input error (2)
+# or a reported non-convergence (3), and no exception escapes `main`.
+EXTREME_LAWS = [
+    U01,
+    '{"kind":"power","alpha":1e-3}',
+    '{"kind":"piecewise_linear","knots":[[0,0],[0.5,0.5],[0.7,0.5],[1,1]]}',
+    UQ,
+]
+EXTREME_N = ["1", "1.000000001", "2", "1e12"]
+EXTREME_Q = ["1", "0.5", "1e-300"]
+SIM_50 = ["--V", "1", "--reps", "50"]
+
+
+@pytest.mark.parametrize(
+    "command, takes_n",
+    [
+        (["solve", "--V", "1"], True),
+        (["principal", "--W", "2"], True),
+        (["expert", "--qe", "0.5", "--V", "1"], True),
+        (["prize-structure", "--W", "2", "--V", "1"], True),
+        (["asymptotics", "--V", "1", "--W", "2"], False),
+        (["simulate", *SIM_50, "--deviate-at", "0.5"], True),
+        (["simulate", *SIM_50, "--threshold", "1"], True),
+        (["simulate", *SIM_50, "--qe", "1"], True),
+        (["hetero", "--V", "1", "--W", "2"], False),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_extreme_inputs_exit_cleanly(capsys, command, takes_n):
+    failures = []
+    for law in EXTREME_LAWS:
+        for n in EXTREME_N if takes_n else [None]:
+            for q in EXTREME_Q:
+                argv = [*command, "--dist", law]
+                argv += ["--qvec", f"[{q},0.5,1]"] if command[0] == "hetero" else ["--q", q]
+                argv += [] if n is None else ["--n", n]
+                try:
+                    code = cli.main(argv)
+                except (Exception, SystemExit) as exc:  # any escape fails the property
+                    code = repr(exc)
+                capsys.readouterr()
+                if code not in (0, 2, 3):
+                    failures.append((argv, code))
+    assert failures == []
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**70)])
+def test_simulate_accepts_any_nonnegative_seed(capsys, seed):
+    assert cli.main(SIM + ["--seed", seed]) == 0
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -124,8 +124,6 @@ def test_quadrature_shares_match_convolution(n, rel):
     c[rng.integers(0, n, max(1, n // 10))] = 0.0
     ones = rng.integers(0, n, max(1, n // 10))
     q[ones], c[ones] = 1.0, 1.0
-    order = np.argsort(-q, kind="stable")  # sorted position, as the contest stores it
-    q, c = q[order], c[order]
     contest = HeteroContest(tuple(q), 1.0, U01)
     pi = q * c
     got = agent_win_probabilities(contest, c)
@@ -169,12 +167,14 @@ def test_success_probability_shape_validation():
 # -------------------------------------------------------------- the contest
 
 
-def test_contest_sorts_and_restores_input_order():
+def test_contest_keeps_input_order():
     contest = HeteroContest((0.3, 0.9, 0.6), 1.0, U01)
-    assert contest.q_values == (0.9, 0.6, 0.3)
+    assert contest.q_values == (0.3, 0.9, 0.6)
     assert contest.n == 3
-    restored = contest.to_input_order(np.array([10.0, 20.0, 30.0]))
-    np.testing.assert_allclose(restored, [30.0, 10.0, 20.0])
+    # thresholds[i] is the cutoff of the agent with q_values[i].
+    sol = solve_thresholds(contest)
+    assert sol.converged
+    np.testing.assert_allclose(sol.thresholds, np.array(HET_THRESHOLDS)[[2, 0, 1]], atol=1e-8)
 
 
 def test_contest_validation():

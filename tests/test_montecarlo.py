@@ -54,6 +54,8 @@ def test_config_validation():
         SimConfig(replications=0, seed=1, thresholds=0.5)
     with pytest.raises(InputError):
         SimConfig(replications=10, seed=1.5, thresholds=0.5)
+    with pytest.raises(InputError, match="nonnegative"):
+        SimConfig(replications=10, seed=-1, thresholds=0.5)
     with pytest.raises(InputError):
         WithExpert(q_e=1.2)
     with pytest.raises(InputError):
