@@ -6,7 +6,10 @@ the W range whose optimum is interior. With rank-ordered prizes and a
 fixed purse, the lever is the split: an equal split minimizes search, a
 single winner-takes-all prize maximizes it, and a convex mix of the two
 hits anything in between. As W grows the optimal split walks from equal
-shares through an interior mix to winner-takes-all.
+shares through an interior mix to winner-takes-all. Winner-takes-all
+maximizes search but is not always best for the designer: with a large
+purse it pushes the cutoff to the top of the support, where a cheaper mix
+induces the same search.
 """
 
 from searchcontest.distributions import Uniform
@@ -49,6 +52,16 @@ def main():
     print(f"  the walk happens inside the structure stakes window "
           f"({w_lo:.4f}, {w_hi:.4f}):")
     print("  below it equal-split is best, above it winner-takes-all.")
+
+    print(LINE)
+    print("a large purse (q = 0.5, n = 2, V = 3, W = 100):")
+    wta = principal_value_multi(d, 0.5, 2, 100.0, PrizeStructure.winner_takes_all(3.0, 2))
+    sol = optimal_prize_structure(d, 0.5, 2, 100.0, 3.0)
+    v1, v2 = sol.structure.values
+    print(f"  winner-takes-all -> everyone searches, designer value {wta:.6f}")
+    print(f"  best split       -> regime {sol.regime}, prizes ({v1:.4f}, {v2:.4f}), "
+          f"cutoff {sol.threshold:.4f}, value {sol.value:.6f}")
+    print("  the mix already makes everyone search, and it pays out less.")
 
 
 if __name__ == "__main__":

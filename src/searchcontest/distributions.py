@@ -4,8 +4,8 @@ Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, the reverse-hazard ratio F/f, and the support endpoints,
 plus two shape facts in closed form: the pieces on which F/f rises, and the
-maximum of c*f(c). A JSON-dict spec form round-trips through
-``distribution_from_spec`` / ``to_spec`` for the CLI.
+maximum of c*f(c). ``distribution_from_spec`` builds each from its
+JSON-dict spec form, as the CLI's ``--dist`` gives it.
 
 Every method takes and returns plain Python floats: the solvers evaluate
 one point at a time, where numpy's per-call cost would outweigh the
@@ -62,9 +62,6 @@ class CostDistribution:
         """Maximum of c*f(c) over the support."""
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
     def _check_in_support(self, c: float) -> None:
         lo, hi = self.support()
         if not (lo <= c <= hi):
@@ -99,9 +96,6 @@ class Uniform(CostDistribution):
 
     def max_c_pdf(self) -> float:
         return self.b / (self.b - self.a)
-
-    def to_spec(self) -> dict:
-        return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,6 @@ class PowerLaw(CostDistribution):
 
     def max_c_pdf(self) -> float:
         return self.alpha  # c*f(c) = alpha * c^alpha, largest at c = 1
-
-    def to_spec(self) -> dict:
-        return {"kind": "power", "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -218,9 +209,6 @@ class PiecewiseLinear(CostDistribution):
     def max_c_pdf(self) -> float:
         # c*f(c) rises across each segment, so its maximum sits at a right end.
         return max(c * s for c, s in zip(self._c[1:], self._slopes))
-
-    def to_spec(self) -> dict:
-        return {"kind": "piecewise_linear", "knots": [[c, F] for c, F in self.knots]}
 
 
 def distribution_from_spec(spec: dict) -> CostDistribution:

@@ -7,11 +7,11 @@ and the equilibrium cutoff is the fixed point of that aggregate map.
 
 Key facts used here (all checked against independent oracles in tests):
 
-- the number of finders is Binomial(n, q F) (searcher thinning), so
-  "at least m find" is a binomial tail;
-- a searcher's rival finder count T is Binomial(n-1, q F) and their rank
-  is uniform on {1, ..., T+1}, giving the single-sum forms below;
-- rank_win_probability(m) = prob_at_least_m_find(m) / (n F);
+- every rank quantity is a sum over one law: a searcher's rival finder
+  count T ~ Binomial(n-1, q F), with a finder's rank uniform on
+  {1, ..., T+1}, so rank_win_probability(m) = q E[1{T >= m-1} / (T+1)];
+- each agent searches with chance F, so at least m find with chance
+  n F rank_win_probability(m) and the designer pays n F times the map;
 - the aggregate map is q E[mean of the top T+1 prizes], a Bernstein
   polynomial in q F with nonincreasing coefficients, so c minus the map
   strictly increases and has at most one root (Farouki 2012).
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import ConvergenceError, InputError, check_find_probability, check_positive
-from ._numerics import win_rate
+from ._errors import InputError, check_find_probability, check_positive
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
@@ -115,32 +114,30 @@ def _binomial_pmf(N: int, x: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def prob_at_least_m_find(
-    d: CostDistribution, q: float, n: int, m: int, c_hat: float
-) -> float:
-    """Probability that at least m agents find the object at cutoff c_hat.
-
-    The finder count is Binomial(n, q F(c_hat)) by thinning, so this is
-    its upper tail at m, summed from the top.
-    """
-    F = _check_rank_args(d, q, n, m, c_hat)
-    return float(np.sum(_binomial_pmf(n, q * F)[m:][::-1]))
-
-
 def rank_win_probability(
     d: CostDistribution, q: float, n: int, m: int, c_hat: float
 ) -> float:
     """Probability a searching agent ends up with the rank-m prize.
 
-    Ratio form prob_at_least_m_find / (n F); at F = 0 it is q for m = 1
-    (a lone searcher who finds takes the top rank) and 0 for m > 1.
+    A finder with T ~ Binomial(n-1, q F) rival finders takes a uniform rank
+    among T + 1, so this is q E[1{T >= m-1} / (T+1)], summed from the top.
+    At F = 0 it is q for m = 1 (a lone finder takes the top rank) and 0
+    for m > 1.
     """
     F = _check_rank_args(d, q, n, m, c_hat)
-    if m == 1:
-        return q * win_rate(q * F, float(n))
-    if F == 0.0:
-        return 0.0
-    return prob_at_least_m_find(d, q, n, m, c_hat) / (n * F)
+    shares = _binomial_pmf(n - 1, q * F) / np.arange(1, n + 1)
+    return q * float(np.sum(shares[m - 1:][::-1]))
+
+
+def prob_at_least_m_find(
+    d: CostDistribution, q: float, n: int, m: int, c_hat: float
+) -> float:
+    """Probability that at least m agents find the object at cutoff c_hat.
+
+    Each of the n agents searches with chance F and then holds rank m or
+    better with chance rank_win_probability(m), so this is n F times it.
+    """
+    return n * d.cdf(c_hat) * rank_win_probability(d, q, n, m, c_hat)
 
 
 def expected_prize_per_searcher(
@@ -162,16 +159,12 @@ def expected_prize_per_searcher(
 def expected_payout(
     d: CostDistribution, q: float, n: int, structure: PrizeStructure, c_hat: float
 ) -> float:
-    """Designer's expected prize bill, E[cumsum(v)[K]] with cumsum(v)[0] = 0.
+    """Designer's expected prize bill, sum_m v_m * prob_at_least_m_find(m).
 
-    The K ~ Binomial(n, q F) finders take ranks 1..K, so this equals
-    sum_m v_m * prob_at_least_m_find(m).
+    Each of the n agents searches with chance F and then expects the
+    aggregate map, so the bill is n F expected_prize_per_searcher.
     """
-    if structure.n != n:
-        raise InputError(f"structure has {structure.n} prizes but n = {n}")
-    F = _check_rank_args(d, q, n, 1, c_hat)
-    paid = np.concatenate(([0.0], np.cumsum(structure.values)))
-    return float(_binomial_pmf(n, q * F) @ paid)
+    return n * d.cdf(c_hat) * expected_prize_per_searcher(d, q, n, structure, c_hat)
 
 
 def solve_threshold_multi(
@@ -237,30 +230,28 @@ def optimal_prize_structure(
 ) -> StructureSolution:
     """Best prize structure with purse V for a designer with stakes W.
 
-    The designer's payoff depends on the structure only through the
-    induced cutoff, so the problem reduces to: maximize the designer's
-    objective exactly over the achievable interval, then realize that
-    cutoff with a winner-takes-all / equal-split mix. The mix weight
-    solves lam*V*Phi1(c) + (1-lam)*V*q/n = c at the target cutoff.
+    The bill is n F(c) times the map at the induced cutoff c: exactly
+    n c F(c) at an interior c, and at least that at the top of the support,
+    with equality for the cheapest structure there. So over cheapest
+    structures the payoff depends only on c: maximize it exactly over the
+    achievable interval [a, b], then realize the target with the cheapest
+    winner-takes-all / equal-split mix. Its weight is 0 at a, 1 at an
+    interior winner-takes-all cutoff b, and otherwise solves
+    lam*V*Phi1(c) + (1-lam)*V*q/n = c, clipped to [0, 1]; where
+    winner-takes-all clamps at the top, that mix induces it for less.
     """
     check_positive("V", V)
     a, b = achievable_interval(d, q, n, V)
     target = _best_cutoff(d, q, float(n), W, a, b)
 
-    cfg = ContestConfig(n=float(n), q=q, V=V)
-    edge_tol = max(1e-12, 1e-9 * max(b - a, 1.0))
-    if target <= a + edge_tol:
+    if target == a:
         weight, regime = 0.0, "equal-split"
-    elif target >= b - edge_tol:
+    elif target == b < d.support()[1]:
         weight, regime = 1.0, "winner-takes-all"
     else:
-        denom = V * win_probability(d, cfg, target) - V * q / n
-        numer = target - V * q / n
-        if denom <= 0.0 or not (0.0 <= numer <= denom):
-            raise ConvergenceError(
-                f"mix weight for cutoff {target} fell outside [0, 1]"
-            )
-        weight, regime = numer / denom, "interior-mix"
+        split = V * q / n
+        wta = V * win_probability(d, ContestConfig(n=float(n), q=q, V=V), target)
+        weight, regime = min(max((target - split) / (wta - split), 0.0), 1.0), "interior-mix"
     structure = PrizeStructure.mixed(V, n, weight)
     value = principal_value_multi(d, q, n, W, structure)
     window = (

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import InputError, check_field_size, check_find_probability, check_positive
+from ._errors import check_field_size, check_find_probability, check_positive
 from ._numerics import compl_pow, solve_cutoff
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig, win_probability
+
+_GRID_SIZE = 2001  # cutoffs in verify_against_grid's brute-force scan
 
 
 @dataclass(frozen=True)
@@ -171,26 +173,18 @@ def _implied_prize(d: CostDistribution, q: float, n: float, c: float) -> float:
     return c / win_probability(d, cfg, c)
 
 
-def verify_against_grid(
-    d: CostDistribution,
-    q: float,
-    n: float,
-    W: float,
-    grid_size: int = 2001,
-) -> GridCheck:
+def verify_against_grid(d: CostDistribution, q: float, n: float, W: float) -> GridCheck:
     """Brute-force check: does a dense grid agree with the solver?
 
-    Passes when the grid argmax of the objective lies within two grid
-    spacings of the solver's cutoff.
+    Passes when the grid argmax of the objective over _GRID_SIZE evenly
+    spaced cutoffs lies within two grid spacings of the solver's cutoff.
     """
-    if grid_size < 3:
-        raise InputError("grid_size must be at least 3")
     sol = optimal_prize(d, q, n, W)
     lo, hi = d.support()
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, _GRID_SIZE)
     vals = np.array([_objective(d, q, n, W, float(c)) for c in grid])
     j = int(np.argmax(vals))
-    spacing = (hi - lo) / (grid_size - 1)
+    spacing = (hi - lo) / (_GRID_SIZE - 1)
     diff = abs(float(grid[j]) - sol.threshold)
     return GridCheck(
         ok=diff <= 2.0 * spacing,

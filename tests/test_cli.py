@@ -148,6 +148,22 @@ def test_prize_structure_on_a_zero_density_stretch(capsys):
     assert rec["results"]["regime"] == "equal-split"
 
 
+def test_prize_structure_pays_the_cheapest_mix_at_the_top_of_the_support(capsys):
+    # U[0, 1], q = 1/2, n = 2, purse 3: the equal split induces 3/4 and
+    # winner-takes-all clamps at 1, where its map reads 9/8. The designer
+    # wants c = 1, which the mix 2/3 * 9/8 + 1/3 * 3/4 = 1 already
+    # induces; it pays 2, so the value is 100 - 100 (1/2)^2 - 2 = 73.
+    # Winner-takes-all induces the same cutoff for 2.25 (value 72.75).
+    argv = ["prize-structure", "--dist", U01, "--q", "0.5", "--n", "2", "--W", "100", "--V", "3"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    res = rec["results"]
+    assert res["regime"] == "interior-mix"
+    assert res["mix_weight"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert res["prizes"] == pytest.approx([2.5, 0.5], abs=1e-12)
+    assert res["value"] == pytest.approx(73.0, abs=1e-12)
+
+
 def test_prize_structure_payload_and_csv(capsys):
     argv = [
         "prize-structure", "--dist", U01, "--q", "1", "--n", "2",

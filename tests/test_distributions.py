@@ -186,19 +186,23 @@ def test_piecewise_rejects_non_finite_knots(knots):
         PiecewiseLinear(knots)
 
 
-# ------------------------------------------------------------ spec round trip
+# --------------------------------------------------------------- spec form
 
 
 @pytest.mark.parametrize(
-    "d",
+    "spec,d",
     [
-        Uniform(0.25, 1.25),
-        PowerLaw(3.5),
-        PiecewiseLinear(KINKED_KNOTS),
+        ({"kind": "uniform", "a": 0.25, "b": 1.25}, Uniform(0.25, 1.25)),
+        ({"kind": "power", "alpha": 3.5}, PowerLaw(3.5)),
+        (
+            {"kind": "piecewise_linear", "knots": [[0, 0], [3 / 7, 0.4], [4 / 7, 0.8], [1, 1]]},
+            PiecewiseLinear(KINKED_KNOTS),
+        ),
     ],
+    ids=["uniform", "power", "piecewise_linear"],
 )
-def test_spec_round_trip(d):
-    assert distribution_from_spec(d.to_spec()) == d
+def test_spec_builds_each_family(spec, d):
+    assert distribution_from_spec(spec) == d
 
 
 @pytest.mark.parametrize(

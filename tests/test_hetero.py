@@ -280,7 +280,8 @@ def test_principal_thresholds_on_kinked_and_bumpy_laws(d, q_values, W):
 def test_principal_hetero_on_a_kinked_law_matches_the_single_prize(capsys):
     base = optimal_prize(KINKED, 0.5, 2, 1.0)
     assert base.prize == pytest.approx(0.4724409448817, abs=1e-10)
-    knots = json.dumps(KINKED.to_spec())
+    knots = ('{"kind":"piecewise_linear","knots":'
+             '[[0,0],[0.42857142857142855,0.4],[0.5714285714285714,0.8],[1,1]]}')
     argv = ["hetero", "--dist", knots, "--qvec", "[0.5,0.5]", "--V", "1", "--W", "1"]
     assert cli.main(argv) == 0
     prize = json.loads(capsys.readouterr().out)["results"]["principal"]["prize"]

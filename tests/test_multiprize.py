@@ -21,9 +21,12 @@ from searchcontest.multiprize import (
     rank_win_probability,
     solve_threshold_multi,
 )
-from searchcontest.principal import objective
+from searchcontest.principal import objective, stakes_for_threshold
 
 U01 = Uniform(0.0, 1.0)
+UQ = Uniform(0.25, 1.25)
+# Zero-density stretch on [0.4, 0.6].
+FLAT_MIDDLE = PiecewiseLinear(((0.0, 0.0), (0.4, 0.5), (0.6, 0.5), (1.0, 1.0)))
 V4 = PrizeStructure((0.4, 0.3, 0.2, 0.1))
 
 # U[0,1], q = 1/2, n = 4 with the graded prizes above: fixed point and
@@ -356,6 +359,32 @@ def test_optimal_structure_with_ends_in_a_zero_density_stretch():
     assert sol.regime == "equal-split"
     assert sol.threshold == 0.5
     assert sol.stakes_window == (math.inf, math.inf)
+
+
+def test_optimal_structure_beats_every_mix_on_a_grid():
+    # Odd draws take a purse at which winner-takes-all clamps at the top of
+    # the support and stakes for which the designer wants that cutoff: a
+    # cheaper mix then induces it too, and the solver must pay no more.
+    rng = np.random.default_rng(7)
+    laws = (UQ, PowerLaw(0.5), PowerLaw(3.0), FLAT_MIDDLE)
+    for trial in range(12):
+        d = laws[trial // 2 % 4]
+        hi = d.support()[1]
+        n = int(rng.integers(2, 6))
+        q = float(rng.uniform(0.2, 0.95))
+        v_top = hi / win_probability(d, ContestConfig(n=float(n), q=q, V=1.0), hi)
+        if trial % 2:
+            V = v_top * float(rng.uniform(1.0, 1.5))
+            W = stakes_for_threshold(d, q, float(n), hi) * float(rng.uniform(1.0, 3.0))
+        else:
+            V = v_top * float(rng.uniform(0.5, 1.5))
+            W = hi / q * float(rng.uniform(1.0, 50.0))
+        value = optimal_prize_structure(d, q, n, W, V).value
+        best_mix = max(
+            principal_value_multi(d, q, n, W, PrizeStructure.mixed(V, n, float(lam)))
+            for lam in np.linspace(0.0, 1.0, 81)
+        )
+        assert value >= best_mix - 1e-12 * max(1.0, abs(value)), (trial, n, q, V, W)
 
 
 def test_optimal_structure_validation():

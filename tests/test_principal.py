@@ -155,11 +155,6 @@ def test_grid_check_confirms_solver(d, q, n, W, c_opt, prize, profit):
     assert chk.solver_threshold == pytest.approx(c_opt, abs=1e-8)
 
 
-def test_grid_check_rejects_tiny_grid():
-    with pytest.raises(InputError):
-        verify_against_grid(U01, 0.5, 2.0, 1.0, grid_size=2)
-
-
 def test_non_monotone_ratio_is_maximized_exactly():
     # F/f drops at c = 0.5, so optimality_map(c) - c has no single sign
     # change on the support; each rising piece is solved on its own.
