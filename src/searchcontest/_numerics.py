@@ -3,8 +3,8 @@
 Everything here is about evaluating expressions of the form 1 - (1-x)^n and
 their normalized ratios without cancellation, for x in [0,1] and real
 n >= 1 up to ~1e6. The exponent is applied in log space throughout. The
-root solvers at the end locate every cutoff in the package to float
-resolution.
+root solver at the end (safeguarded Illinois regula falsi) locates every
+cutoff in the package to float resolution.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def win_rate(x: float, n: float) -> float:
     on own success, when n agents each succeed independently w.p. x.
     Factored as [expm1(u)/u] * [-log1p(-x)/x] with u = n*log1p(-x); each
     factor is smooth near 0 and carries full relative precision, so no
-    series switch is needed anywhere in [0, 1).
+    series switch is needed anywhere in [0, 1). Exactly 1 at n = 1.
     """
-    if x == 0.0:
+    if x == 0.0 or n == 1.0:
         return 1.0
     if x >= 1.0:
         # (1 - 0) / (n * 1)
@@ -87,14 +87,22 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
     Either orientation works. Globally safe on monotone maps; for a
     non-monotone fn it converges to some sign change inside the bracket.
-    Halves the bracket until its midpoint is one of its ends, that is, to
-    float resolution.
+    Narrows the bracket to adjacent doubles, that is, to float resolution.
+    The name is kept, but the method is `_bisect`'s safeguarded regula falsi.
     """
     return _bisect(fn, lo, hi, fn(lo), fn(hi))
 
 
 def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """`bisect_root` given the endpoint values f_lo = fn(lo), f_hi = fn(hi)."""
+    """`bisect_root` given the endpoint values f_lo = fn(lo), f_hi = fn(hi).
+
+    Illinois regula falsi, safeguarded: secant points stay two doubles inside
+    the bracket (one above a zero at lo), and two secant steps in a row that
+    fail to halve it force a bisection, so a solve costs at most about three
+    times bisection's evaluations. A zero inside counts with the low side, as
+    in bisection, so where the float sign pattern is monotone the result is
+    bisection's to the bit. No point is evaluated twice.
+    """
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -105,14 +113,27 @@ def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         raise ConvergenceError(
             f"root not bracketed: f({lo}) = {f_lo}, f({hi}) = {f_hi}"
         )
+    g_lo, g_hi = sign * f_lo, sign * f_hi
+    side = slow = 0  # side of the last secant point; failed halvings in a row
     while True:
-        mid = 0.5 * (lo + hi)
+        mid, width = 0.5 * (lo + hi), hi - lo
         if not lo < mid < hi:
             return mid
-        if sign * fn(mid) <= 0.0:
-            lo = mid
+        x, secant = mid, False
+        if slow < 2:
+            inner_lo = math.nextafter(lo if g_lo == 0.0 else math.nextafter(lo, hi), hi)
+            inner_hi = math.nextafter(math.nextafter(hi, lo), lo)
+            s = lo - g_lo * (width / (g_hi - g_lo))
+            if inner_lo < inner_hi and s == s:
+                x, secant = min(max(s, inner_lo), inner_hi), True
+        g = sign * fn(x)
+        # Illinois: a second secant point on one side halves the far end's value.
+        if g <= 0.0:
+            lo, g_lo, g_hi = x, g, g_hi * (0.5 if secant and side < 0 else 1.0)
         else:
-            hi = mid
+            hi, g_hi, g_lo = x, g, g_lo * (0.5 if secant and side > 0 else 1.0)
+        side = (-1 if g <= 0.0 else 1) if secant else side
+        slow = slow + 1 if secant and hi - lo > 0.5 * width else 0
 
 
 def solve_cutoff(

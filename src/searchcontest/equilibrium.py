@@ -99,7 +99,7 @@ def _solve_symmetric(d: CostDistribution, cfg: ContestConfig, value) -> Equilibr
 def solve_threshold(d: CostDistribution, cfg: ContestConfig) -> EquilibriumResult:
     """Equilibrium cutoff: root of g(c) = c - V * win_probability(c).
 
-    g is strictly increasing, so bisection is globally safe. When the
+    g is strictly increasing, so the bracketed solve is safe. When the
     interiority conditions fail the cutoff clamps to the relevant support
     endpoint (q V <= c_lo: nobody searches; V * win_probability(c_hi) >=
     c_hi: everybody does) and the result is flagged non-interior.

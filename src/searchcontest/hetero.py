@@ -111,16 +111,20 @@ def success_probability(contest: HeteroContest, thresholds) -> float:
 
 
 def _gauss_seidel(c: np.ndarray, best_response) -> ThresholdVector:
-    """Set c_i = best_response(i) for each agent in turn, sweeping until no
-    cutoff moves by SWEEP_TOL in a whole sweep."""
+    """Set c_i = best_response(i) for each agent in turn, sweeping until a
+    sweep's largest move delta and the tail bound delta rho / (1 - rho),
+    rho = delta / previous delta < 1, are both below SWEEP_TOL."""
+    prev = math.inf
     for sweep in range(1, MAX_SWEEPS + 1):
         delta = 0.0
         for i in range(c.size):
             new_ci = best_response(i)
             delta = max(delta, abs(new_ci - c[i]))
             c[i] = new_ci
-        if delta < SWEEP_TOL:
+        rho = delta / prev
+        if delta < SWEEP_TOL and rho < 1.0 and delta * rho / (1.0 - rho) < SWEEP_TOL:
             return ThresholdVector(thresholds=c, converged=True, sweeps=sweep)
+        prev = delta
     return ThresholdVector(thresholds=c, converged=False, sweeps=MAX_SWEEPS)
 
 
@@ -253,7 +257,7 @@ def best_response_scan_n2(
     A pair (c1, BR(c1)) is an equilibrium iff BR(BR(c1)) = c1. Grid points
     satisfying that within SCAN_TOL are accepted directly (this catches
     continuum segments, where the composition is the identity); sign
-    changes of the gap between grid points are refined by bisection to
+    changes of the gap between grid points are refined by bisect_root to
     catch isolated equilibria that miss the grid. Boundary-clamped pairs
     are excluded: only interior equilibria are reported.
 

@@ -246,3 +246,29 @@ def rank_win_probability_direct(d, q, n, m, c_hat):
             inner += _binom_pmf(t, k, q) / (t + 1.0)
         total += _binom_pmf(k, n - 1, F) * inner
     return q * total
+
+
+def bisect_plain(fn, lo, hi):
+    """Plain bisection to float resolution: (root, number of evaluations).
+
+    Halves [lo, hi] until its ends are adjacent doubles and returns their
+    rounded midpoint; a zero inside counts with the side where fn(lo) lies.
+    The reference for the library's root solver, which must return the
+    same double on any map whose float sign pattern is monotone.
+    """
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo == 0.0:
+        return lo, 2
+    if f_hi == 0.0:
+        return hi, 2
+    sign = 1.0 if f_lo < 0.0 else -1.0
+    evals = 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid, evals
+        evals += 1
+        if sign * fn(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid

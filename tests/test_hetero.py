@@ -9,7 +9,7 @@ from scipy import stats
 
 import oracles
 from searchcontest import ConvergenceError, InputError, cli
-from searchcontest.distributions import PiecewiseLinear, Uniform
+from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
 from searchcontest.hetero import (
     HeteroContest,
@@ -230,6 +230,17 @@ def test_solve_thresholds_symmetric_matches_baseline():
     sol = solve_thresholds(contest)
     base = solve_threshold(U01, ContestConfig(n=3.0, q=0.5, V=1.0))
     np.testing.assert_allclose(sol.thresholds, base.threshold, atol=1e-8)
+
+
+def test_solve_thresholds_stop_bounds_the_error_not_the_step():
+    # Sweeps contract slowly here (about 0.92 a sweep), so a small step is
+    # not a small error: only a stop that bounds the sweeps still to come
+    # makes the two sweep orders agree to well below SWEEP_TOL.
+    q = (0.952, 0.952, 0.115, 1.0, 0.726)
+    forward = solve_thresholds(HeteroContest(q, 2.68, PowerLaw(3.0)))
+    backward = solve_thresholds(HeteroContest(q[::-1], 2.68, PowerLaw(3.0)))
+    assert forward.converged and backward.converged
+    np.testing.assert_allclose(forward.thresholds, backward.thresholds[::-1], rtol=0.0, atol=3e-11)
 
 
 # ---------------------------------------------------------- designer solve

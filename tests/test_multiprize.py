@@ -276,6 +276,19 @@ def test_achievable_interval_between_equal_split_and_wta():
     assert a < b
 
 
+def test_lone_agent_interval_is_one_cutoff():
+    # At n = 1 the equal split and winner-takes-all are the same structure,
+    # so both ends of the interval are one cutoff and the designer's
+    # structure is labelled the equal split.
+    rng = np.random.default_rng(14)
+    for k in range(200):
+        d = U01 if k % 2 else PowerLaw(float(rng.uniform(0.3, 4.0)))
+        q, V, W = (float(v) for v in rng.uniform((0.05, 0.05, 0.5), (1.0, 3.0, 20.0)))
+        a, b = achievable_interval(d, q, 1, V)
+        assert a == b, (d, q, V)
+        assert optimal_prize_structure(d, q, 1, W, V).regime == "equal-split", (d, q, V, W)
+
+
 # -------------------------------------------------- designer over structures
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from searchcontest._numerics import (
     win_rate,
     win_rate_deficit,
 )
+from searchcontest.distributions import Uniform
+from searchcontest.equilibrium import ContestConfig, win_probability
 
 # Exact-arithmetic cross-check points: spans the tiny-x regime where the
 # naive forms cancel, both sides of the deficit-series crossover n*x = 1,
@@ -61,6 +64,13 @@ def test_win_rate_matches_exact(x, n):
 def test_win_rate_endpoints():
     assert win_rate(0.0, 9.0) == 1.0
     assert win_rate(1.0, 4.0) == 0.25
+
+
+@pytest.mark.parametrize("x", X_POINTS + [0.1, 0.25, 1.0])
+def test_win_rate_is_exactly_one_for_a_lone_agent(x):
+    # Not just to within the factors' rounding: at n = 1 the equal split and
+    # winner-takes-all are one structure, and their maps must agree exactly.
+    assert win_rate(x, 1.0) == 1.0
 
 
 @given(
@@ -174,6 +184,88 @@ def test_solve_cutoff_evaluates_no_point_twice():
     assert calls[:2] == [0.0, 1.0]
     assert len(calls) == len(set(calls))
     assert c == bisect_root(lambda t: t - value(t), 0.0, 1.0)
+
+
+def _counted(fn):
+    calls = []
+
+    def recorded(t):
+        calls.append(t)
+        return fn(t)
+
+    return recorded, calls
+
+
+def _kinked(r, knot, low, high):
+    """Continuous piecewise-affine map with root r, slope `low` below the
+    knot and `high` above it; its float sign pattern is monotone."""
+    return lambda t: low * (t - r) + (high - low) * max(t - knot, 0.0)
+
+
+def _roots_to_match():
+    rng = random.Random(15)
+    roots = [rng.random() for _ in range(150)]
+    roots += [rng.random() * 1e-12 for _ in range(20)]
+    roots += [1.0 - rng.random() * 1e-12 for _ in range(20)]
+    return roots + [1e-300, 5e-324, 0.5, math.nextafter(1.0, 0.0)]
+
+
+def test_bisect_root_returns_the_bisection_double():
+    # On a map whose float sign pattern is monotone, bisection's answer
+    # depends on that pattern alone, so the superlinear solve must stop on
+    # the same double as plain bisection, in either orientation.
+    rng = random.Random(7)
+    for r in _roots_to_match():
+        knot = rng.random()
+        for fn in (lambda t: t - r, _kinked(r, knot, 1.0, 4.0), _kinked(r, knot, 0.125, 1.0)):
+            for sign in (1.0, -1.0):
+                oriented = lambda t: sign * fn(t)
+                expected, _ = oracles.bisect_plain(oriented, 0.0, 1.0)
+                assert bisect_root(oriented, 0.0, 1.0) == expected, (r, knot, sign)
+
+
+THIRD = Fraction(1, 3)
+ADVERSARIAL = {
+    "jump at 1/3": lambda t: t - (0.0 if Fraction(t) > THIRD else 1.0),
+    "(t - 0.3)^9": lambda t: (t - 0.3) ** 9,
+    "(t - 1e-9)^9": lambda t: (t - 1e-9) ** 9,
+    "(t - (1 - 1e-9))^9": lambda t: (t - (1.0 - 1e-9)) ** 9,
+    "step at 0": lambda t: 1.0 if t > 0.0 else -1.0,
+    "step at the top": lambda t: 1.0 if t >= 1.0 else -1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bisect_root_worst_case_is_near_bisection(name, sign):
+    # One step in three halves the bracket, so a solve costs at most about
+    # three times plain bisection, even where regula falsi crawls.
+    fn = lambda t: sign * ADVERSARIAL[name](t)
+    expected, bisection_evals = oracles.bisect_plain(fn, 0.0, 1.0)
+    recorded, calls = _counted(fn)
+    assert bisect_root(recorded, 0.0, 1.0) == expected
+    assert len(calls) <= 3 * bisection_evals
+
+
+U01 = Uniform(0.0, 1.0)
+SMOOTH = {
+    "linear": lambda c: 0.3,
+    # The designer's step with one sure finder on U[0, 1]: c = K - c.
+    "U[0, 1] designer step": lambda c: 0.74 - c,
+    "baseline win probability, n = 2": lambda c: 1.5 * win_probability(
+        U01, ContestConfig(n=2.0, q=0.7, V=1.5), c
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH))
+def test_solve_cutoff_takes_few_evaluations_on_smooth_maps(name):
+    recorded, calls = _counted(SMOOTH[name])
+    c, interior = solve_cutoff(recorded, 0.0, 1.0)
+    assert interior
+    assert len(calls) <= 8
+    expected, _ = oracles.bisect_plain(lambda t: t - SMOOTH[name](t), 0.0, 1.0)
+    assert c == expected
 
 
 def test_log_log_slope_recovers_power_law():
