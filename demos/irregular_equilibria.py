@@ -5,9 +5,9 @@ pins down a unique symmetric equilibrium. This demo shows what the
 library reports when those assumptions are dropped:
 
 1. On a kinked piecewise-linear cost law F/f drops at c = 3/7, so it
-   rises on two pieces, not one, and the two-player best-response scan
-   finds a whole segment of asymmetric equilibria (c1, 1 - c1) instead of
-   a single point.
+   rises on two pieces, not one, and the two-player equilibrium set is a
+   whole segment of asymmetric equilibria (c1, 1 - c1), solved exactly,
+   instead of a single point.
 2. With unequal find probabilities the Gauss-Seidel solve produces
    per-agent cutoffs; stronger agents search more, and the success
    probability decomposes agent by agent.
@@ -43,12 +43,13 @@ def main():
     pieces = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in kinked.rising_pieces())
     print(f"  F/f rises on {pieces}  (it drops at 3/7 = {3 / 7:.4f})")
     scan = best_response_scan_n2(kinked, 1.0, 5.0 / 7.0)
-    c1 = scan.pairs[:, 0]
-    print(f"  equilibrium pairs found: {scan.pairs.shape[0]}")
-    print(f"  c1 range: [{c1.min():.6f}, {c1.max():.6f}]  "
-          f"(3/7 = {3 / 7:.6f}, 4/7 = {4 / 7:.6f})")
-    print(f"  every pair satisfies c2 = 1 - c1: "
-          f"{bool(np.all(np.abs(scan.pairs.sum(axis=1) - 1.0) < 1e-9))}")
+    left, right = scan.segments[0]
+    print(f"  equilibrium set: c1 in [{left!r}, {right!r}], "
+          f"exact (certified): {scan.certified}")
+    print(f"  3/7 = {3 / 7!r}, 4/7 = {4 / 7!r}")
+    pairs = scan.pairs
+    print(f"  sampled pairs at step {scan.grid_step:g}: {pairs.shape[0]}; every one "
+          f"satisfies c2 = 1 - c1: {bool(np.all(np.abs(pairs.sum(axis=1) - 1.0) < 1e-9))}")
     print(f"  symmetric (1/2, 1/2) included: {scan.has_symmetric}")
     print("  a continuum of asymmetric equilibria, not a unique point.")
 

@@ -4,7 +4,8 @@ Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, the reverse-hazard ratio F/f, and the support endpoints,
 plus two shape facts in closed form: the pieces on which F/f rises, and the
-maximum of c*f(c). ``distribution_from_spec`` builds each from its
+maximum of c*f(c). Uniform and piecewise-linear laws also give the knots
+between which F is linear. ``distribution_from_spec`` builds each from its
 JSON-dict spec form, as the CLI's ``--dist`` gives it.
 
 Every method takes and returns plain Python floats: the solvers evaluate
@@ -62,6 +63,11 @@ class CostDistribution:
         """Maximum of c*f(c) over the support."""
         raise NotImplementedError
 
+    def cdf_knots(self) -> tuple[tuple[float, float], ...] | None:
+        """Knots (c_i, F_i) between which F is linear, or None where F is
+        not piecewise linear."""
+        return None
+
     def _check_in_support(self, c: float) -> None:
         lo, hi = self.support()
         if not (lo <= c <= hi):
@@ -96,6 +102,9 @@ class Uniform(CostDistribution):
 
     def max_c_pdf(self) -> float:
         return self.b / (self.b - self.a)
+
+    def cdf_knots(self) -> tuple[tuple[float, float], ...]:
+        return ((self.a, 0.0), (self.b, 1.0))
 
 
 @dataclass(frozen=True)
@@ -209,6 +218,9 @@ class PiecewiseLinear(CostDistribution):
     def max_c_pdf(self) -> float:
         # c*f(c) rises across each segment, so its maximum sits at a right end.
         return max(c * s for c, s in zip(self._c[1:], self._slopes))
+
+    def cdf_knots(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self._c, self._F))
 
 
 def distribution_from_spec(spec: dict) -> CostDistribution:

@@ -169,15 +169,28 @@ def qf_cutoff_power(alpha: float) -> float:
 
     Root in (0, 1) of (1-y) ln(1-y) + y*alpha/(1+alpha) = 0; below it the
     success probability rises with the field size, above it falls.
+
+    Divided by y, the equation reads k(y) = alpha/(1+alpha) - p(y) = 0 with
+    p(y) = (1-y)(-ln(1-y))/y. For large alpha the root sits near
+    2/(1+alpha), where p is within y/2 of 1 and both forms cancel, so for
+    y <= 1/2 k is summed as 1 - p(y) - 1/(1+alpha), with
+    1 - p(y) = sum_{j>=2} y^(j-1) / (j(j-1)), a series of positive terms.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise InputError(f"alpha must be positive, got {alpha}")
-    ratio = alpha / (1.0 + alpha)
+    ratio, rest = alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
-    def h(y: float) -> float:
+    def k(y: float) -> float:
         if y >= 1.0:
             return ratio
-        return (1.0 - y) * math.log1p(-y) + y * ratio
+        if y > 0.5:
+            return ratio + (1.0 - y) * math.log1p(-y) / y
+        total, term, j = 0.0, y, 2
+        while True:
+            new_total = total + term / (j * (j - 1))
+            if new_total == total:
+                return total - rest
+            total, term, j = new_total, term * y, j + 1
 
-    # h < 0 just above 0 (slope -1/(1+alpha)) and h(1) = ratio > 0.
-    return bisect_root(h, 1e-12, 1.0)
+    # k(0) = -1/(1+alpha) < 0 and k(1) = alpha/(1+alpha) > 0.
+    return bisect_root(k, 0.0, 1.0)

@@ -19,9 +19,11 @@ swept the same way: with the other cutoffs fixed, the designer's objective
 in c_i is (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - pi_j), the
 single-prize designer problem with one sure finder.
 
-The two-player scanner at the bottom maps out the full equilibrium set; it
+The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
-of asymmetric equilibria.
+of asymmetric equilibria. On uniform and piecewise-linear laws the set is
+exact, solved cell by cell between the best response's kinks and their
+preimages; on power laws it is sampled on a grid and marked uncertified.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
 PRIZE_AGREEMENT_TOL = 1e-8
 SCAN_TOL = 1e-9
+LEVEL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -223,15 +226,52 @@ def solve_principal_hetero(contest: HeteroContest, W: float) -> HeteroPrizeSolut
 
 
 # ---------------------------------------------------------------------------
-# Two-player equilibrium set scanner
+# Two-player equilibrium set
 
 
 @dataclass(frozen=True)
 class N2ScanResult:
-    pairs: np.ndarray  # (k, 2) interior fixed pairs (c1, c2)
-    segments: list[tuple[float, float]]  # connected c1 ranges
-    has_symmetric: bool
+    """The two-player equilibrium set, as the c1 values of its pairs
+    (c1, BR(c1)); only pairs with both cutoffs inside the support count.
+
+    segments are the set's closed c1 ranges, in order; an isolated
+    equilibrium is a segment (c, c). symmetric is the interior cutoff with
+    BR(c) = c, or None where that cutoff clamps. certified is True when the
+    set was solved cell by cell (exact up to rounding) and False when it
+    was sampled on a grid. grid_step is the spacing of the sample `pairs`
+    draws from each segment.
+    """
+
+    segments: list[tuple[float, float]]
+    symmetric: float | None
+    certified: bool
     grid_step: float
+    dist: CostDistribution
+    q: float
+    V: float
+
+    @property
+    def has_symmetric(self) -> bool:
+        return self.symmetric is not None
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(k, 2) interior equilibrium pairs (c1, c2), sorted by c1: each
+        segment's ends and the grid points inside it, and the symmetric
+        pair. Built on every read; the result stores only the set."""
+        lo, hi = self.dist.support()
+        c1 = set() if self.symmetric is None else {self.symmetric}
+        for a, b in self.segments:
+            k = np.arange(math.ceil((a - lo) / self.grid_step),
+                          math.floor((b - lo) / self.grid_step) + 1)
+            sample = lo + k * self.grid_step
+            c1.update(sample[(a < sample) & (sample < b)].tolist(), (a, b))
+        pairs = [(c, best_response_n2(self.dist, self.q, self.V, c)) for c in sorted(c1)]
+        return np.array([p for p in pairs if _interior(p, lo, hi)]).reshape(-1, 2)
+
+
+def _interior(pair, lo: float, hi: float) -> bool:
+    return lo < pair[0] < hi and lo < pair[1] < hi
 
 
 def best_response_n2(d: CostDistribution, q: float, V: float, c_other: float) -> float:
@@ -252,54 +292,104 @@ def best_response_scan_n2(
     V: float,
     grid: int = 10001,
 ) -> N2ScanResult:
-    """Map the full two-player equilibrium set by scanning best responses.
+    """The full two-player equilibrium set: every c1 with BR(BR(c1)) = c1
+    whose pair (c1, BR(c1)) lies inside the support.
 
-    A pair (c1, BR(c1)) is an equilibrium iff BR(BR(c1)) = c1. Grid points
-    satisfying that within SCAN_TOL are accepted directly (this catches
-    continuum segments, where the composition is the identity); sign
-    changes of the gap between grid points are refined by bisect_root to
-    catch isolated equilibria that miss the grid. Boundary-clamped pairs
-    are excluded: only interior equilibria are reported.
+    On a law with knots (uniform or piecewise-linear) the set is exact:
+    BR = clamp(qV(1 - (q/2)F)) is affine between the knots and the clamp
+    points, so BR o BR is affine on the cells these points and their
+    BR-preimages cut, typically a dozen or fewer. A cell where BR o BR is
+    the identity (to SCAN_TOL) is a segment of the set; any other cell
+    holds at most one root, solved by bisect_root. On a power law, which
+    has no knots, the set is sampled instead and the result is not
+    certified: grid points whose gap |BR(BR(c)) - c| is within SCAN_TOL are
+    kept, and sign changes of the gap between grid points are refined by
+    bisect_root.
 
-    grid is the number of scan points across the support; the default
-    10001 gives 1e-4 spacing on a unit-width support.
+    Pieces of the set closer than SCAN_TOL (exact) or 1.5 grid steps
+    (sampled) join one segment, and a segment whose middle pair clamps is
+    dropped. The symmetric cutoff BR(c) = c is solved directly and counts
+    where the set holds it.
+
+    grid is the number of points across the support; the default 10001
+    gives 1e-4 spacing on a unit-width support. It sets where a power law
+    is sampled and, on every law, the spacing of the `pairs` sample.
     """
     count = int(grid)
     if count < 2:
         raise InputError(f"grid must be at least 2 points, got {grid}")
+    check_find_probability(q)
+    check_positive("V", V)
     lo, hi = d.support()
-    grid_pts = np.linspace(lo, hi, count)
-    step = float(grid_pts[1] - grid_pts[0])
+    step = (hi - lo) / (count - 1)
+
+    def br(c: float) -> float:
+        return best_response_n2(d, q, V, c)
 
     def gap(c1: float) -> float:
-        return best_response_n2(d, q, V, best_response_n2(d, q, V, c1)) - c1
+        return br(br(c1)) - c1
 
-    gaps = np.array([gap(float(c)) for c in grid_pts])
-    accepted = [float(c) for c, g in zip(grid_pts, gaps) if abs(g) <= SCAN_TOL]
-    for i in range(count - 1):
-        ga, gb = float(gaps[i]), float(gaps[i + 1])
-        if abs(ga) <= SCAN_TOL or abs(gb) <= SCAN_TOL:
-            continue
-        if ga * gb < 0.0:
-            accepted.append(bisect_root(gap, float(grid_pts[i]), float(grid_pts[i + 1])))
-    accepted.sort()
-
-    pairs = []
-    for c1 in accepted:
-        c2 = best_response_n2(d, q, V, c1)
-        if lo < c1 < hi and lo < c2 < hi:
-            pairs.append((c1, c2))
-
+    knots = d.cdf_knots()
+    if knots is None:
+        found, join = _sampled_fixed_set(gap, np.linspace(lo, hi, count)), 1.5 * step
+    else:
+        found, join = _exact_fixed_set(gap, knots, q, V), SCAN_TOL
     segments: list[tuple[float, float]] = []
-    for c1, _ in pairs:
-        if segments and c1 - segments[-1][1] <= 1.5 * step:
-            segments[-1] = (segments[-1][0], c1)
+    for a, b in sorted(found):
+        if segments and a - segments[-1][1] <= join:
+            segments[-1] = (segments[-1][0], max(b, segments[-1][1]))
         else:
-            segments.append((c1, c1))
-    has_symmetric = any(abs(c1 - c2) <= SCAN_TOL for c1, c2 in pairs)
-    return N2ScanResult(
-        pairs=np.array(pairs).reshape(-1, 2),
-        segments=segments,
-        has_symmetric=has_symmetric,
-        grid_step=step,
-    )
+            segments.append((a, b))
+    # A segment whose middle pair clamps holds no interior pair.
+    segments = [s for s in segments
+                if _interior((mid := 0.5 * (s[0] + s[1]), br(mid)), lo, hi)]
+    # BR(c) - c falls, from >= 0 at lo to <= 0 at hi. Its root counts where
+    # the set holds it, so that a pair the set drops as clamped stays out.
+    c = bisect_root(lambda c: br(c) - c, lo, hi)
+    held = any(a - join <= c <= b + join for a, b in segments)
+    symmetric = c if held and _interior((c, br(c)), lo, hi) else None
+    return N2ScanResult(segments, symmetric, knots is not None, step, d, q, V)
+
+
+def _exact_fixed_set(gap, knots, q: float, V: float):
+    """Pieces (a, b) of {c : gap(c) = 0} on a piecewise-linear law, cell by
+    cell; an isolated root is (c, c)."""
+    lo, hi = knots[0][0], knots[-1][0]
+
+    def preimages(values) -> set[float]:
+        # The raw best response qV(1 - (q/2)F(c)) equals v where F(c) = y.
+        # A level within LEVEL_TOL of a knot's F crosses at knots, which
+        # are cuts already; solving for it on a shallow piece would move
+        # the crossing off the knot by the level's rounding over the slope.
+        out = set()
+        for v in values:
+            y = 2.0 * (1.0 - v / (q * V)) / q
+            if all(abs(y - F) > LEVEL_TOL for _, F in knots):
+                out.update(c0 + (y - F0) / ((F1 - F0) / (c1 - c0))
+                           for (c0, F0), (c1, F1) in zip(knots, knots[1:]) if F0 < y < F1)
+        return out
+
+    breaks = {c for c, _ in knots} | preimages((lo, hi))  # BR's own kinks
+    cuts = sorted(c for c in breaks | preimages(breaks) if lo <= c <= hi)
+    gaps = [gap(c) for c in cuts]
+    found = [(c, c) for c, g in zip(cuts, gaps) if abs(g) <= SCAN_TOL]
+    for a, b, ga, gb in zip(cuts, cuts[1:], gaps, gaps[1:]):
+        if max(abs(ga), abs(gb), abs(gap(0.5 * (a + b)))) <= SCAN_TOL:
+            found.append((a, b))
+        elif ga * gb < 0.0 and min(abs(ga), abs(gb)) > SCAN_TOL:
+            root = bisect_root(gap, a, b)
+            found.append((root, root))
+    return found
+
+
+def _sampled_fixed_set(gap, grid_pts: np.ndarray):
+    """Roots of gap on a grid, as points (c, c): grid points within
+    SCAN_TOL, and a bisect_root solve per sign change between them."""
+    gaps = [gap(float(c)) for c in grid_pts]
+    found = [(float(c), float(c)) for c, g in zip(grid_pts, gaps) if abs(g) <= SCAN_TOL]
+    for i in range(len(gaps) - 1):
+        ga, gb = gaps[i], gaps[i + 1]
+        if ga * gb < 0.0 and min(abs(ga), abs(gb)) > SCAN_TOL:
+            root = bisect_root(gap, float(grid_pts[i]), float(grid_pts[i + 1]))
+            found.append((root, root))
+    return found

@@ -84,12 +84,11 @@ def _example3() -> list[dict]:
 
 def _appendix_c() -> list[dict]:
     d = PiecewiseLinear(((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0)))
-    scan = best_response_scan_n2(d, 1.0, 5.0 / 7.0, 10001)
-    if scan.pairs.shape[0] == 0:
+    scan = best_response_scan_n2(d, 1.0, 5.0 / 7.0)
+    if not scan.segments:
         return [_row("pairs_found", 0.0, 1.0, False)]
-    c1 = scan.pairs[:, 0]
-    left, right = float(c1.min()), float(c1.max())
-    sym = bool(scan.has_symmetric)
+    left, right = scan.segments[0][0], scan.segments[-1][1]
+    sym = scan.has_symmetric
     return [
         _row("segment_left_endpoint", left, 3.0 / 7.0, abs(left - 3.0 / 7.0) <= 2e-4),
         _row("segment_right_endpoint", right, 4.0 / 7.0, abs(right - 4.0 / 7.0) <= 2e-4),

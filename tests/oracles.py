@@ -201,6 +201,100 @@ def binomial_tail_mp(n, x, m):
         return mpmath.fsum(math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range(m, n + 1))
 
 
+def qf_cutoff_power_mp(alpha):
+    """Root in (0, 1) of (1-y) ln(1-y) + y alpha/(1+alpha), as an mpf.
+
+    With t = 1/(1+alpha), dividing by y gives 1 - p(y) = t where
+    p(y) = (1-y)(-ln(1-y))/y, and y/2 <= 1 - p(y) <= y, so the root lies
+    in [t, 2t]; at LIMIT_DPS digits the unscaled form's cancellation costs
+    nothing a double can see.
+    """
+    with mpmath.workdps(LIMIT_DPS):
+        a = mpmath.mpf(alpha)
+        t = 1 / (1 + a)
+        return mpmath.findroot(lambda y: (1 - y) * mpmath.log1p(-y) + y * a * t,
+                               (t, min(2 * t, 1 - t / 2)), solver="anderson")
+
+
+def n2_best_response_exact(knots, q, V):
+    """BR(c) = clamp(qV(1 - (q/2)F(c))) into the support, as a function
+    of a rational c, for the piecewise-linear law through the knots."""
+    pts = [(Fraction(c), Fraction(F)) for c, F in knots]
+    q, V = Fraction(q), Fraction(V)
+    lo, hi = pts[0][0], pts[-1][0]
+
+    def cdf(c):
+        for (c0, F0), (c1, F1) in zip(pts, pts[1:]):
+            if c <= c1:
+                return F0 + (F1 - F0) * (max(c, c0) - c0) / (c1 - c0)
+        return Fraction(1)
+
+    return lambda c: min(max(q * V * (1 - q * cdf(Fraction(c)) / 2), lo), hi)
+
+
+def n2_fixed_set_exact(knots, q, V):
+    """Two-player equilibrium set on a piecewise-linear law, in exact rationals.
+
+    knots are (c, F) pairs and q, V numbers, all taken as exact Fractions.
+    BR(c) = clamp(qV(1 - (q/2)F(c))) into the support is affine between the
+    knots and the points where it starts to clamp, so BR(BR(c)) is affine
+    on the cells that those points and their BR-preimages cut, and so is
+    the gap BR(BR(c)) - c: zero at both ends of a cell means zero on all of
+    it, and otherwise the cell holds at most one root, solved exactly.
+
+    Returns (segments, symmetric): the closed c1 ranges of equilibria whose
+    pair (c1, BR(c1)) lies inside the support, touching ranges merged and an
+    isolated equilibrium as (c, c); and the interior solution of BR(c) = c,
+    or None where it clamps.
+    """
+    pts = [(Fraction(c), Fraction(F)) for c, F in knots]
+    q, V = Fraction(q), Fraction(V)
+    lo, hi = pts[0][0], pts[-1][0]
+    pieces = list(zip(pts, pts[1:]))
+    br = n2_best_response_exact(knots, q, V)
+
+    def level_points(v):
+        # Where the unclamped best response equals v, F(c) = 2(1 - v/(qV))/q.
+        y = 2 * (1 - v / (q * V)) / q
+        return {c0 + (y - F0) * (c1 - c0) / (F1 - F0)
+                for (c0, F0), (c1, F1) in pieces if F0 <= y <= F1 and F0 < F1}
+
+    def gap(c):
+        return br(br(c)) - c
+
+    def interior(c):
+        return lo < c < hi and lo < br(c) < hi
+
+    breaks = {c for c, _ in pts} | level_points(lo) | level_points(hi)
+    cuts = sorted(c for c in breaks.union(*map(level_points, breaks)) if lo <= c <= hi)
+    found = [(c, c) for c in cuts if gap(c) == 0]
+    for a, b in zip(cuts, cuts[1:]):
+        ga, gb = gap(a), gap(b)
+        if ga == 0 and gb == 0:
+            found.append((a, b))
+        elif ga * gb < 0:
+            root = a - ga * (b - a) / (gb - ga)
+            found.append((root, root))
+    segments = []
+    for a, b in sorted(found):
+        if segments and a <= segments[-1][1]:
+            segments[-1] = (segments[-1][0], max(b, segments[-1][1]))
+        else:
+            segments.append((a, b))
+    segments = [(a, b) for a, b in segments if interior((a + b) / 2)]
+
+    # BR(c) - c falls, and is affine between consecutive breaks.
+    edges = sorted(c for c in breaks if lo <= c <= hi)
+    symmetric = None
+    for a, b in zip(edges, edges[1:]):
+        sa, sb = br(a) - a, br(b) - b
+        if sa >= 0 >= sb:
+            root = a if sa == 0 else a - sa * (b - a) / (sb - sa)
+            symmetric = root if interior(root) else None
+            break
+    return segments, symmetric
+
+
 # Float versions of the rank-prize double sums, called like the library
 # functions they check: (distribution, q, n, m, cutoff).
 

@@ -95,6 +95,14 @@ def test_reference_reproductions_pass(capsys, name):
     assert all(row["ok"] for row in rec["results"]["rows"])
 
 
+def test_appendix_c_reports_the_exact_continuum_ends(capsys):
+    code, rec = run_json(capsys, ["tables", "--name", "appendixC"])
+    got = {row["quantity"]: row["computed"] for row in rec["results"]["rows"]}
+    assert code == 0
+    assert abs(got["segment_left_endpoint"] - 3.0 / 7.0) <= 1e-15
+    assert abs(got["segment_right_endpoint"] - 4.0 / 7.0) <= 1e-15
+
+
 def test_reference_mismatch_exits_one(capsys, monkeypatch):
     broken = dict(tables.REFERENCE_TABLES["table1a"])
     broken["rows"] = [(2, 0.5, 0.3106)]  # wrong threshold reference

@@ -206,6 +206,14 @@ def test_qf_cutoff_power_value_and_root_property():
     assert qf_cutoff_power(0.5) > qf_cutoff_power(1.0) > qf_cutoff_power(5.0)
 
 
+@pytest.mark.parametrize("alpha", [1e3, 1e4, 1e6])
+def test_qf_cutoff_power_to_float_resolution_at_large_alpha(alpha):
+    # The root sits near 2/(1+alpha), where the unscaled equation cancels.
+    ref = oracles.qf_cutoff_power_mp(alpha)
+    y = qf_cutoff_power(alpha)
+    assert abs(float((y - ref) / math.ulp(float(ref)))) <= 3.0
+
+
 def test_qf_cutoff_power_rejects_bad_alpha():
     with pytest.raises(InputError):
         qf_cutoff_power(0.0)

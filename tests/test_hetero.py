@@ -1,5 +1,8 @@
 import json
 import math
+import pickle
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from searchcontest import ConvergenceError, InputError, cli
 from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
 from searchcontest.hetero import (
+    SCAN_TOL,
     HeteroContest,
     agent_win_probabilities,
     best_response_n2,
@@ -399,6 +403,140 @@ def test_scan_kinked_case_finds_equilibrium_continuum():
     np.testing.assert_allclose(c2, 1.0 - c1, atol=1e-9)
     assert res.has_symmetric
     assert len(res.segments) == 1
+
+
+# Seeded piecewise-linear laws for the exact n = 2 set. Knots, q and V are
+# rationals; the library sees their nearest doubles.
+
+
+def _float_law(knots):
+    return PiecewiseLinear(tuple((float(c), float(F)) for c, F in knots))
+
+
+def _tenths(rng, lo, hi):
+    return Fraction(int(rng.integers(lo, hi)), 10)
+
+
+def _rational_law(rng):
+    """1-5 pieces, about a sixth of them flat, floor in [0, 0.3]; qV spans
+    from near the floor to twice the width above it, so BR clamps often."""
+    lo, width = _tenths(rng, 0, 4), _tenths(rng, 5, 21)
+    xs = sorted({Fraction(int(x), 100) for x in rng.integers(1, 100, int(rng.integers(0, 5)))})
+    c = [lo] + [lo + width * x for x in xs] + [lo + width]
+    rises = [int(r) for r in rng.integers(0, 6, len(c) - 1)]
+    rises[-1] += sum(rises) == 0
+    F = [Fraction(sum(rises[:i]), sum(rises)) for i in range(len(c))]
+    q = _tenths(rng, 2, 11)
+    return list(zip(c, F)), q, (lo + width * _tenths(rng, 1, 21)) / q
+
+
+def _built_law(rng):
+    """A law on which BR(c) = 1 - c over [s, 1 - s]: F rises there with
+    slope k = 2/(q^2 V) through F = 0 at 1 - qV, and k in (4/q - 2, 4/q)
+    leaves room for s < 1/2. Random knots, maybe flat, outside it."""
+    q = _tenths(rng, 6, 11)
+    k = 4 / q - 2 + 2 * _tenths(rng, 1, 10)
+    V = 2 / (q * q * k)
+    c0 = 1 - q * V
+    s_min = max(c0, 1 - c0 - 1 / k, Fraction(0))
+    s = s_min + (Fraction(1, 2) - s_min) * _tenths(rng, 1, 10)
+    lo, hi = s * _tenths(rng, 0, 10), 1 - s + _tenths(rng, 1, 10)
+    F_s, F_t = k * (s - c0), k * (1 - s - c0)
+    knots = [(lo, Fraction(0))]
+    if lo < s and rng.random() < 0.5:
+        knots.append((lo + (s - lo) * _tenths(rng, 1, 10), F_s * _tenths(rng, 0, 11)))
+    knots += [(s, F_s), (1 - s, F_t)]
+    if rng.random() < 0.5:
+        knots.append(((1 - s + hi) / 2, F_t + (1 - F_t) * _tenths(rng, 0, 11)))
+    return knots + [(hi, Fraction(1))], q, V
+
+
+def _assert_matches_exact(knots, q, V):
+    res = best_response_scan_n2(_float_law(knots), float(q), float(V))
+    segments, symmetric = oracles.n2_fixed_set_exact(knots, q, V)
+    br = oracles.n2_best_response_exact(knots, q, V)
+    assert res.certified
+    assert len(res.segments) == len(segments)
+    for got, want in zip(res.segments, segments):
+        if want[0] < want[1]:
+            # A continuum ends at cuts: knots or their BR-preimages.
+            assert all(abs(g - w) <= math.ulp(float(w)) for g, w in zip(got, want))
+        else:
+            # An isolated root moves with the law's rounding over the gap's
+            # slope: near the exact root where the slope is steep, and with a
+            # tiny exact residual where it is shallow.
+            assert got[1] - got[0] <= SCAN_TOL
+            assert all(abs(g - want[0]) <= 4 * math.ulp(float(want[0]))
+                       or abs(br(br(g)) - g) <= 8 * 2.0**-52 for g in got)
+    assert res.has_symmetric == (symmetric is not None)
+    if symmetric is not None:
+        assert abs(res.symmetric - symmetric) <= 4 * math.ulp(float(symmetric))
+
+
+def test_scan_kinked_continuum_ends_exactly_at_three_and_four_sevenths():
+    knots = [(0, 0), (Fraction(3, 7), Fraction(2, 5)), (Fraction(4, 7), Fraction(4, 5)), (1, 1)]
+    assert oracles.n2_fixed_set_exact(knots, 1, Fraction(5, 7)) == (
+        [(Fraction(3, 7), Fraction(4, 7))], Fraction(1, 2))
+    _assert_matches_exact(knots, 1, Fraction(5, 7))
+    res = best_response_scan_n2(KINKED, 1.0, 5.0 / 7.0)
+    assert res.segments == [(3.0 / 7.0, 4.0 / 7.0)]
+    assert res.symmetric == 0.5
+
+
+def test_scan_continuum_over_the_whole_support_keeps_its_interior():
+    # On U[1/3, 2/3] with q = 1, V = 2/3, BR(c) = 1 - c everywhere; the
+    # pairs at the ends have a cutoff on the support's edge.
+    d = Uniform(1.0 / 3.0, 2.0 / 3.0)
+    res = best_response_scan_n2(d, 1.0, 2.0 / 3.0, grid=101)
+    _assert_matches_exact([(Fraction(1, 3), 0), (Fraction(2, 3), 1)], 1, Fraction(2, 3))
+    pairs = res.pairs
+    assert pairs.shape[0] >= 99
+    assert np.all((pairs > 1.0 / 3.0) & (pairs < 2.0 / 3.0))
+    np.testing.assert_allclose(pairs.sum(axis=1), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("draw", [_rational_law, _built_law])
+def test_scan_matches_the_exact_rational_set(draw):
+    rng = np.random.default_rng(20 if draw is _rational_law else 21)
+    for _ in range(100):
+        _assert_matches_exact(*draw(rng))
+
+
+def test_scan_samples_a_power_law_uncertified():
+    res = best_response_scan_n2(PowerLaw(2.0), 0.8, 1.0, grid=1001)
+    assert not res.certified
+    ((a, b),) = res.segments
+    c = res.symmetric
+    assert a == b == pytest.approx(c, abs=1e-12)
+    assert best_response_n2(PowerLaw(2.0), 0.8, 1.0, c) == pytest.approx(c, abs=1e-12)
+
+
+@dataclass(frozen=True)
+class _Unknotted(PiecewiseLinear):
+    """The same law with its knots hidden, so the scan samples it."""
+
+    def cdf_knots(self):
+        return None
+
+
+def test_scan_exact_set_holds_every_grid_pair():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        knots, q, V = _rational_law(rng)
+        pts = tuple((float(c), float(F)) for c, F in knots)
+        exact = best_response_scan_n2(PiecewiseLinear(pts), float(q), float(V), grid=1001)
+        sampled = best_response_scan_n2(_Unknotted(pts), float(q), float(V), grid=1001)
+        assert exact.certified and not sampled.certified
+        near = 2.0 * exact.grid_step
+        for c1 in sampled.pairs[:, 0]:
+            assert any(a - near <= c1 <= b + near for a, b in exact.segments)
+        assert sampled.has_symmetric == exact.has_symmetric
+
+
+def test_scan_result_stores_the_set_not_the_sample():
+    res = best_response_scan_n2(KINKED, 1.0, 5.0 / 7.0)
+    assert res.pairs.shape[0] > 1000
+    assert len(pickle.dumps(res)) < 2048
 
 
 def test_scan_validation():
