@@ -1,6 +1,7 @@
 """Monte Carlo cross-checks of the closed-form solvers.
 
-Simulates the contest with seeded, chunked Philox streams and compares
+Simulates the contest with seeded, chunked streams (Philox on the count
+path these alike agents take; see `searchcontest.montecarlo`) and compares
 the simulated success rate, per-searcher win rate, and cutoff-agent
 payoff against the analytic values, reporting z-scores. The second half
 estimates the gain from deviating to a fixed search cost: statistically

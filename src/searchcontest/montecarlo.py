@@ -1,10 +1,10 @@
 """Simulation cross-checks for the closed-form contest quantities.
 
-Replications run in fixed-size chunks, each chunk from its own
-counter-based substream (Philox keyed by the master seed and the chunk
-index), so results are bit-identical for a given (seed, replications,
-config) regardless of how chunks might be scheduled. Each call takes one
-of two paths, chosen from its inputs alone.
+Replications run in fixed-size chunks, each chunk from its own substream
+keyed by the master seed and the chunk index, so results are
+bit-identical for a given (seed, replications, config) regardless of how
+chunks might be scheduled. Each call takes one of two paths, chosen from
+its inputs alone.
 
 Count path: `Baseline`, `WithExpert` and `RankPrizes` when every agent
 plays the same threshold (for `deviation_gain`, every rival does). Agents
@@ -16,18 +16,26 @@ with chance 1/(K+1). By exchangeability the agent who wins at each rank
 is uniform over the field, so once every chunk is done `simulate` spreads
 each rank's wins over the agents with one Multinomial(wins, 1/n) draw
 from the seed's root stream, which no chunk uses. A chunk costs
-O(replications) whatever n is.
+O(replications) whatever n is. Its chunks and the root stream use Philox:
+they draw little, and staying on it keeps their estimates for a given seed
+what earlier versions gave.
 
 Dense path: `PerAgentFind` and unequal thresholds. Each agent consumes a
 single uniform u per replication: search happens iff u < F(threshold),
-the object is found iff u < q F(threshold) (the correct nested joint for
-search-then-find), and conditional on finding u / (q F) is again uniform
-and independent across finders, so its argmax implements the uniform
-tie-break among finders exactly and its descending order ranks them. The
-expert draws one more uniform w per replication and finds iff w < q_e,
-with tie-break score w / q_e. A chunk costs O(replications x n). It
-draws per agent, not per count, so a contest with equal thresholds
-written as `PerAgentFind` cross-checks the count path.
+and the object is found iff u < q F(threshold) (the correct nested joint
+for search-then-find). The tie-break score is s = u / (q F). Division is
+correctly rounded and the doubles below q F are at least 2^-53 q F
+apart, so s < 1 exactly when u < q F; agents with q F = 0 score 1, since
+u = 0 can be drawn. Conditional on finding, s is uniform on [0, 1) and
+independent across finders, so the lowest score is a uniform finder (and
+a finder whenever anyone found), and ascending scores rank the finders.
+The expert draws one more uniform w per replication, finds iff w < q_e,
+and scores w / q_e in a shared tie-break. A chunk costs
+O(replications x n) and its draws dominate, so dense chunks come from
+PCG64DXSM, which costs about 2.5x less per double than Philox; one
+buffer per call holds every chunk's draws. The dense path draws per
+agent, not per count, so a contest with equal thresholds written as
+`PerAgentFind` cross-checks the count path.
 
 `simulate` accumulates success and win rates with standard errors; the
 pooled per-searcher rates use the delta-method SE for a ratio of
@@ -121,11 +129,11 @@ class GainEstimate:
     replications: int
 
 
-def _chunk_rng(seed: int, chunk_index: Optional[int] = None) -> np.random.Generator:
-    """The stream of one chunk; without an index, the seed's root stream."""
+def _chunk_rng(seed: int, chunk_index: Optional[int], bit_generator) -> np.random.Generator:
+    """The stream of one chunk; with index None, the seed's root stream."""
     key = () if chunk_index is None else (int(chunk_index),)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(bit_generator(seq))
 
 
 def _alike(variant, thr) -> bool:
@@ -168,24 +176,31 @@ def _resolve(d: CostDistribution, cfg: ContestConfig, sim: SimConfig):
         prizes = np.asarray(variant.structure.values, dtype=float)
     else:
         prizes = None
-    F_thr = np.array([d.cdf(float(t)) for t in thr])
+    if np.isscalar(thresholds):
+        F_thr = np.full(n, d.cdf(float(thr[0])))
+    else:
+        F_thr = np.array([d.cdf(float(t)) for t in thr])
     return n, thr, F_thr, q_arr, prizes
 
 
-def _chunk_rngs(sim: SimConfig):
+def _chunk_rngs(sim: SimConfig, bit_generator):
     """Yield each chunk's replication count and stream."""
     reps = int(sim.replications)
     for chunk_index, done in enumerate(range(0, reps, CHUNK_SIZE)):
-        yield min(CHUNK_SIZE, reps - done), _chunk_rng(sim.seed, chunk_index)
+        yield min(CHUNK_SIZE, reps - done), _chunk_rng(sim.seed, chunk_index, bit_generator)
 
 
 def _chunks(sim: SimConfig, n: int):
     """Yield each chunk's draws: agent uniforms u (m x n), then the expert's
-    uniforms w (m) for `WithExpert` and None otherwise. No chunk stays
-    referenced here while the next is drawn."""
+    uniforms w (m) for `WithExpert` and None otherwise. Every chunk's u is
+    a view of one buffer that the next chunk overwrites, so a caller must
+    be done with a chunk, and keep no view of it, before asking for the
+    next."""
     with_expert = isinstance(sim.variant, WithExpert)
-    for m, rng in _chunk_rngs(sim):
-        yield rng.random((m, n)), rng.random(m) if with_expert else None
+    buf = np.empty((min(CHUNK_SIZE, int(sim.replications)), n))
+    for m, rng in _chunk_rngs(sim, np.random.PCG64DXSM):
+        u = rng.random(out=buf[:m])
+        yield u, rng.random(m) if with_expert else None
 
 
 def _count_chunks(sim: SimConfig, n: int, F: float, q: float):
@@ -193,41 +208,54 @@ def _count_chunks(sim: SimConfig, n: int, F: float, q: float):
     finders K ~ Bin(S, q), whether the expert finds (`WithExpert` only,
     None otherwise) and one uniform v per replication."""
     with_expert = isinstance(sim.variant, WithExpert)
-    for m, rng in _chunk_rngs(sim):
+    for m, rng in _chunk_rngs(sim, np.random.Philox):
         S = rng.binomial(n, F, m)
         K = rng.binomial(S, q)
         x = rng.random(m) < sim.variant.q_e if with_expert else None
         yield S, K, x, rng.random(m)
 
 
-def _play(u, w, qF, variant, prizes):
-    """Decide one chunk's contests; overwrites u with tie-break scores,
-    u / (q F) for finders and -1 for everyone else.
-
-    Returns (found, success, outcome). For rank prizes the outcome is None:
-    finders take the ranks in descending order of score. Otherwise it is
-    (winner, crowd_wins): the crowd's best finder and whether the crowd
-    keeps the prize.
-    """
-    found = u < qF
-    # Only non-finders can overflow, and the mask overwrites them.
+def _score(u, qF):
+    """Overwrite u with the tie-break scores s = u / (q F) and return them:
+    an agent finds iff s < 1. Columns with q F = 0 score 1."""
+    found_never = qF <= 0.0
+    # Only non-finders can overflow, and any score >= 1 is a miss.
     with np.errstate(over="ignore"):
-        u /= np.where(qF > 0.0, qF, 1.0)
-    np.putmask(u, ~found, -1.0)
-    success = found.any(axis=1)
-    if prizes is not None:
-        return found, success, None
+        u /= np.where(found_never, 1.0, qF)
+    u[:, found_never] = 1.0
+    return u
 
-    crowd_wins = success
+
+def _play(u, w, qF, variant, prizes):
+    """Decide one chunk's contests; overwrites u with the tie-break scores
+    (see `_score`).
+
+    Returns (success, outcome). For rank prizes the outcome is (found,
+    rank): who found, and each agent's 0-based rank in ascending order of
+    score, so that the finders hold the top ranks. Otherwise it is (winner,
+    crowd_wins): the agent with the lowest score, who is a uniform finder
+    whenever anyone found, and whether the crowd keeps the prize.
+    """
+    s = _score(u, qF)
+    if prizes is not None:
+        found = s < 1.0
+        rank = np.empty(s.shape, dtype=np.intp)
+        np.put_along_axis(rank, s.argsort(axis=1), np.arange(s.shape[1]), axis=1)
+        return found.any(axis=1), (found, rank)
+
+    winner = s.argmin(axis=1)
+    best = np.take_along_axis(s, winner[:, None], axis=1)[:, 0]
+    success = crowd_wins = best < 1.0
     if w is not None:
         expert_found = w < variant.q_e
         success = success | expert_found
         if variant.mode == "expert_keeps":
             crowd_wins = crowd_wins & ~expert_found
         elif variant.q_e > 0.0:
-            # The expert joins the tie-break when they find.
-            crowd_wins = crowd_wins & (~expert_found | (u.max(axis=1) > w / variant.q_e))
-    return found, success, (u.argmax(axis=1), crowd_wins)
+            # The expert joins the tie-break, and scores at least 1 unless they find.
+            with np.errstate(over="ignore"):
+                crowd_wins = crowd_wins & (best < w / variant.q_e)
+    return success, (winner, crowd_wins)
 
 
 def _takes_prize(finders, rivals, x, v, variant):
@@ -244,23 +272,22 @@ def _takes_prize(finders, rivals, x, v, variant):
 def _dense_tallies(sim, n, thr, F_thr, qF, V, prizes):
     """Each chunk's searchers S, payout events X and prize total pay per
     replication, then its successes, the sum of the searchers' thresholds
-    and its agent x rank win counts. Mapping over the chunks frees each
-    m x n draw before the next one is made."""
+    and its agent x rank win counts. Every chunk's draws share one buffer,
+    so a lazy map finishes each tally before the next chunk is drawn, and
+    no tally keeps a view of it."""
     agents = np.arange(n)
 
     def tally(draws):
         u, w = draws
         searched = u < F_thr
-        found, success, outcome = _play(u, w, qF, sim.variant, prizes)
+        success, outcome = _play(u, w, qF, sim.variant, prizes)
         if prizes is None:
             winner, crowd_wins = outcome
             X = crowd_wins.astype(float)
             pay = V * X
             wins = np.bincount(winner[crowd_wins], minlength=n)[:, None]
         else:
-            # Each agent's 0-based rank among the finders (non-finders rank last).
-            rank = np.empty_like(u, dtype=np.intp)
-            np.put_along_axis(rank, np.argsort(-u, axis=1), agents, axis=1)
+            found, rank = outcome
             X = found.sum(axis=1).astype(float)  # finders all get some rank
             pay = (prizes[rank] * found).sum(axis=1)
             cells = (agents * n + rank)[found]
@@ -324,7 +351,9 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
         sum_thr_searched += thr_searched
     if alike:
         # Each rank's winner is a uniform agent, independently per replication.
-        wins = _chunk_rng(sim.seed).multinomial(wins, np.full(n, 1.0 / n)).T
+        wins = _chunk_rng(sim.seed, None, np.random.Philox).multinomial(
+            wins, np.full(n, 1.0 / n)
+        ).T
 
     N = float(reps)
     p_success = found_total / N
@@ -384,12 +413,12 @@ def _dense_tagged_prizes(sim, n, qF, V, prizes):
 
     def prize(draws):
         u, w = draws
-        found, _, outcome = _play(u, w, qF, sim.variant, prizes)
         if prizes is None:
-            winner, crowd_wins = outcome
+            _, (winner, crowd_wins) = _play(u, w, qF, sim.variant, prizes)
             return V * (crowd_wins & (winner == 0))
-        # Agent 0's rank is the number of finders who score higher.
-        return prizes[np.count_nonzero(u > u[:, :1], axis=1)] * found[:, 0]
+        # Agent 0's rank is the number of finders who score lower.
+        s = _score(u, qF)
+        return prizes[np.count_nonzero(s < s[:, :1], axis=1)] * (s[:, 0] < 1.0)
 
     return map(prize, _chunks(sim, n))
 

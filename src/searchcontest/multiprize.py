@@ -99,19 +99,74 @@ def _check_rank_args(d: CostDistribution, q: float, n: int, m: int, c_hat: float
     return d.cdf(c_hat)
 
 
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting constant
+_TAIL = 1492.0  # 2 * 746: below e^-746 < 2^-1075 of the peak the pmf rounds to 0
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """a * b rounded, and its rounding error exactly (Dekker's product)."""
+    p = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _binomial_pmf(N: int, x: float) -> np.ndarray:
     """pmf of Binomial(N, x) on 0..N; a point mass at x <= 0 or x >= 1.
 
-    In log space, log C(N, k) is the running sum of log((N - k + 1) / k),
-    kept apart from the x terms so that their rounding does not pile up
-    along it. Rescaling to unit total cancels the rounding neighbouring k share.
+    Products of the ratios pmf(j) / pmf(j - 1) = (N + 1 - j) x / (j y),
+    y = 1 - x, running outward from the mode and rescaled to unit total.
+    Near the mode each ratio is 1 + ((N + 1) x - j) / (j y), with (N + 1) x
+    carried to twice working precision, so that a rounding error scales
+    with the ratio's distance from 1 and cannot pile up along the products,
+    even where x is close to a fraction with a small denominator: against
+    mpmath the relative error at the mode and 3 standard deviations out
+    stays within 5e-15 up to N = 1e6. Where a ratio falls below 1/2 (only
+    past the mode, where the pmf already falls geometrically) it is taken
+    as written.
+
+    Since log(ratio) <= ratio - 1, the pmf is below e^-746 of its peak
+    more than (b + sqrt(b^2 + 4 T m y)) / 2 above the mode, b = 1 + T y,
+    and more than (1 + sqrt(1 + 4 T m)) / 2 below it, where m = (N + 1) x
+    and T = 1492. It is set to 0 there rather than left to crawl through
+    subnormal doubles, where p r rounds back to p for r near 1.
     """
     if x <= 0.0 or x >= 1.0:
         return np.eye(1, N + 1, N if x >= 1.0 else 0)[0]
-    k = np.arange(N + 1, dtype=float)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((N - k[1:] + 1.0) / k[1:]))))
-    pmf = np.exp(log_comb + k * math.log(x) + (N - k) * math.log1p(-x))
-    return pmf / pmf.sum()
+    y = 1.0 - x
+    m, m_lo = _two_prod(N + 1.0, x)  # (N + 1) x = m + m_lo exactly
+    mode = min(int(m), N)
+    near = min(int(2.0 * m / (1.0 + x)), N)  # ratio(j) >= 1/2 for j <= near
+    pmf = np.arange(N + 1.0)
+    j = pmf[1:]  # j is spent, and pmf filled, once the ratios are made
+    ratio = j * y  # ratio[j - 1] = pmf(j) / pmf(j - 1)
+    t, r = j[:near], ratio[:near]
+    np.subtract(m, t, out=t)
+    t += m_lo
+    np.divide(t, r, out=r)
+    r += 1.0
+    t, r = j[near:], ratio[near:]
+    np.subtract(N + 1.0, t, out=t)
+    t *= x
+    np.divide(t, r, out=r)
+    b = 1.0 + _TAIL * y
+    top = mode + int(0.5 * (b + math.sqrt(b * b + 4.0 * _TAIL * m * y)))
+    if top < N:
+        ratio[top:] = 0.0
+    pmf[mode] = 1.0
+    np.multiply.accumulate(ratio[mode:], out=pmf[mode + 1:])
+    if mode:
+        r = ratio[:mode]
+        np.divide(1.0, r, out=r)
+        bottom = mode - int(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * _TAIL * m)))
+        if bottom > 0:
+            r[:bottom] = 0.0
+        np.multiply.accumulate(r[::-1], out=pmf[:mode][::-1])
+    pmf /= np.add.reduce(pmf)
+    return pmf
 
 
 def rank_win_probability(

@@ -201,6 +201,13 @@ def binomial_tail_mp(n, x, m):
         return mpmath.fsum(math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range(m, n + 1))
 
 
+def binomial_pmf_mp(n, x, k):
+    """P(Binomial(n, x) = k) as an mpf with LIMIT_DPS digits, at the double x."""
+    with mpmath.workdps(LIMIT_DPS):
+        x = mpmath.mpf(x)
+        return mpmath.binomial(n, k) * x**k * (1 - x) ** (n - k)
+
+
 def qf_cutoff_power_mp(alpha):
     """Root in (0, 1) of (1-y) ln(1-y) + y alpha/(1+alpha), as an mpf.
 

@@ -190,6 +190,67 @@ def test_zero_threshold_means_nobody_searches():
     np.testing.assert_array_equal(est.win_rate_per_agent, 0.0)
 
 
+# ------------------------------------------------------------- tie-break
+
+
+def test_play_finds_exactly_below_q_f():
+    # s = u / (q F) < 1 exactly when u < q F, whatever the rounding of q F:
+    # row 0 sits one double below q F, row 1 at q F.
+    rng = np.random.default_rng(3)
+    qF = np.concatenate((rng.random(500), [1.0 / 3.0, 0.7 * 0.3, 0.1, 1e-300, 5e-324, 1.0]))
+    u = np.vstack((np.nextafter(qF, 0.0), qF))
+    prizes = np.zeros(qF.size)
+    success, (found, _) = montecarlo._play(u, None, qF, Baseline(), prizes)
+    assert found[0].all() and not found[1].any()
+    assert success.tolist() == [True, False]
+
+
+def test_play_finder_beats_non_finders_sitting_at_q_f():
+    qF = np.array([0.3, 0.21, 0.3])
+    u = np.array([[0.3, np.nextafter(0.21, 0.0), 0.3], [0.3, 0.21, 0.3]])
+    success, (winner, crowd_wins) = montecarlo._play(u, None, qF, Baseline(), None)
+    assert success.tolist() == [True, False]
+    assert winner[0] == 1
+    assert crowd_wins.tolist() == [True, False]
+
+
+def test_play_never_finds_where_q_f_is_zero():
+    # u = 0 can be drawn, and 0 < 0 * anything is false.
+    qF = np.array([0.0, 0.2, 0.0])
+    u = np.array([[0.0, 0.5, 0.0], [0.0, 0.1, 0.0]])
+    success, (winner, crowd_wins) = montecarlo._play(u.copy(), None, qF, Baseline(), None)
+    assert success.tolist() == [False, True]
+    assert crowd_wins.tolist() == [False, True]
+    assert winner[1] == 1
+    success, (found, rank) = montecarlo._play(u.copy(), None, qF, Baseline(), np.ones(3))
+    assert found.tolist() == [[False, False, False], [False, True, False]]
+    assert rank[1, 1] == 0
+
+
+def test_play_shared_expert_wins_on_the_lower_score():
+    # The crowd's best score is 0.2 / 0.5 = 0.4; the expert's is w / q_e.
+    q_e = 0.5
+    qF = np.array([0.5, 0.5])
+    w = np.array([np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0), 0.6, 0.1])
+    u = np.array([[0.2, 0.4]] * 4 + [[0.9, 0.6]])
+    success, (winner, crowd_wins) = montecarlo._play(
+        u, w, qF, WithExpert(q_e, "shared"), None
+    )
+    assert (w / q_e < 0.4).tolist() == [True, False, False, False, True]
+    assert crowd_wins.tolist() == [False, False, True, True, False]
+    assert success.tolist() == [True] * 5
+    assert (winner[:4] == 0).all()
+
+
+def test_play_ranks_finders_in_ascending_score():
+    qF = np.array([0.5, 0.5, 0.4, 0.5, 0.5])
+    u = np.array([[0.3, 0.1, 0.45, 0.2, 0.0]])  # scores 0.6, 0.2, 1.125, 0.4, 0
+    success, (found, rank) = montecarlo._play(u, None, qF, Baseline(), np.ones(5))
+    assert success.tolist() == [True]
+    assert found.tolist() == [[True, True, False, True, True]]
+    assert rank.tolist() == [[3, 1, 4, 2, 0]]
+
+
 # ------------------------------------------------------------- calibration
 
 
@@ -274,6 +335,26 @@ def test_hetero_calibration():
             3, est.win_rate_per_agent[i], target, est.win_rate_per_agent_se[i]
         )
     assert within(3, est.mean_payoff_at_threshold, 0.0, est.mean_payoff_se)
+
+
+def test_per_agent_calibration_at_two_hundred_agents():
+    # Stratified abilities on [0.2, 0.9] at their equilibrium cutoffs; win
+    # rates are checked over four blocks of agents, from least to most able.
+    n, reps = 200, 50_000
+    rng = np.random.default_rng(2024)
+    q = rng.permutation(0.2 + 0.7 * (np.arange(n) + rng.random(n)) / n)
+    contest = HeteroContest(tuple(q), 1.0, U01)
+    c = solve_thresholds(contest).thresholds
+    cfg = ContestConfig(n=float(n), q=float(np.mean(q)), V=1.0)
+    est = simulate(U01, cfg, SimConfig(reps, 97, tuple(c), PerAgentFind(tuple(q))))
+    target_success = het_success_probability(contest, c)
+    assert within(4, est.success_rate, target_success, est.success_se)
+    target = np.array([U01.cdf(float(t)) for t in c]) * agent_win_probabilities(contest, c)
+    for block in np.array_split(np.argsort(q), 4):
+        t = target[block].sum()
+        assert within(
+            4, est.win_rate_per_agent[block].sum(), t, math.sqrt(t * (1.0 - t) / reps)
+        )
 
 
 @pytest.mark.parametrize("n, seeds", [(2, (43, 47)), (5, (59, 61)), (20, (67, 71))])

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from searchcontest import InputError
+from searchcontest import InputError, multiprize
 from searchcontest._numerics import prob_any
 from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
@@ -101,6 +101,30 @@ def test_tail_probability_at_large_n(n, x):
         assert got == pytest.approx(ref, rel=1e-11) or (ref < 1e-300 and got == 0.0)
     wta = PrizeStructure.winner_takes_all(2.0, n)
     assert expected_payout(U01, 1.0, n, wta, x) == pytest.approx(2.0 * prob_any(x, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [100_000, 1_000_000])
+@pytest.mark.parametrize("x", [0.3, 0.5, 1.0 / 3.0, 0.6, 0.123456789])
+def test_binomial_pmf_to_float_resolution_at_large_n(N, x):
+    # At the mode and 1 and 3 standard deviations either side of it; x near
+    # a fraction with a small denominator is where rounding errors line up.
+    pmf = multiprize._binomial_pmf(N, x)
+    sd = math.sqrt(N * x * (1.0 - x))
+    for k in {int(N * x + z * sd) for z in (-3, -1, 0, 1, 3)}:
+        ref = oracles.binomial_pmf_mp(N, x, k)
+        assert abs(float(pmf[k] / ref) - 1.0) <= 1e-13, k
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 200])
+@pytest.mark.parametrize("x", [1e-12, 0.05, 0.3, 0.5, 2.0 / 3.0, 0.999, 1.0 - 1e-9])
+def test_binomial_pmf_matches_exact_rationals(N, x):
+    pmf = multiprize._binomial_pmf(N, x)
+    for k in range(N + 1):
+        ref = float(oracles._mix(N, k, x))
+        if ref > 1e-300:
+            assert pmf[k] == pytest.approx(ref, rel=1e-13), k
+        else:
+            assert pmf[k] <= 1e-290, k
 
 
 @pytest.mark.parametrize("F,q,n,m", DRAWS)
