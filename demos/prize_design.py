@@ -45,8 +45,8 @@ def main():
     print("optimal split as the designer's stakes W grow:")
     for W in (2.0, 3.0, 10.0):
         sol = optimal_prize_structure(d, 1.0, 2, W, 1.0)
-        v1, v2 = sol.structure.values
-        print(f"  W={W:<5} -> regime {sol.regime:<16} prizes ({v1:.4f}, {v2:.4f})  "
+        print(f"  W={W:<5} -> regime {sol.regime:<16} "
+              f"prizes ({sol.top_prize:.4f}, {sol.other_prize:.4f})  "
               f"cutoff {sol.threshold:.4f}  value {sol.value:.6f}")
     w_lo, w_hi = optimal_prize_structure(d, 1.0, 2, 3.0, 1.0).stakes_window
     print(f"  the walk happens inside the structure stakes window "
@@ -57,9 +57,9 @@ def main():
     print("a large purse (q = 0.5, n = 2, V = 3, W = 100):")
     wta = principal_value_multi(d, 0.5, 2, 100.0, PrizeStructure.winner_takes_all(3.0, 2))
     sol = optimal_prize_structure(d, 0.5, 2, 100.0, 3.0)
-    v1, v2 = sol.structure.values
     print(f"  winner-takes-all -> everyone searches, designer value {wta:.6f}")
-    print(f"  best split       -> regime {sol.regime}, prizes ({v1:.4f}, {v2:.4f}), "
+    print(f"  best split       -> regime {sol.regime}, "
+          f"prizes ({sol.top_prize:.4f}, {sol.other_prize:.4f}), "
           f"cutoff {sol.threshold:.4f}, value {sol.value:.6f}")
     print("  the mix already makes everyone search, and it pays out less.")
 

@@ -132,19 +132,9 @@ def _cmd_principal(args):
 
 def _cmd_prize_structure(args):
     d = _parse_dist(args.dist)
-    n = int(args.n)
-    if n != args.n:
+    if not args.n.is_integer():  # inf and nan included
         raise InputError("prize structures need an integer field size n")
-    sol = mp_mod.optimal_prize_structure(d, args.q, n, args.W, args.V)
-    return {
-        "threshold": sol.threshold,
-        "prizes": list(sol.structure.values),
-        "mix_weight": sol.mix_weight,
-        "regime": sol.regime,
-        "value": sol.value,
-        "stakes_window": list(sol.stakes_window),
-        "certified": sol.certified,
-    }, None
+    return asdict(mp_mod.optimal_prize_structure(d, args.q, int(args.n), args.W, args.V)), None
 
 
 def _cmd_expert(args):

@@ -130,7 +130,10 @@ class PowerLaw(CostDistribution):
     def pdf(self, c: float) -> float:
         self._check_in_support(c)
         # alpha < 1 diverges at 0; callers only evaluate interior points.
-        return self.alpha * c ** (self.alpha - 1.0)
+        try:
+            return self.alpha * c ** (self.alpha - 1.0)
+        except OverflowError:  # c^(alpha - 1) past the largest double
+            return math.inf
 
     def reverse_hazard(self, c: float) -> float:
         if self.cdf(c) == 0.0:

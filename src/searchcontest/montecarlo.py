@@ -269,7 +269,7 @@ def _takes_prize(finders, rivals, x, v, variant):
     return v * (entrants + x) < finders
 
 
-def _dense_tallies(sim, n, thr, F_thr, qF, V, prizes):
+def _dense_tallies(sim, n, thr, F_thr, qF, V, top_total):
     """Each chunk's searchers S, payout events X and prize total pay per
     replication, then its successes, the sum of the searchers' thresholds
     and its agent x rank win counts. Every chunk's draws share one buffer,
@@ -280,16 +280,17 @@ def _dense_tallies(sim, n, thr, F_thr, qF, V, prizes):
     def tally(draws):
         u, w = draws
         searched = u < F_thr
-        success, outcome = _play(u, w, qF, sim.variant, prizes)
-        if prizes is None:
+        success, outcome = _play(u, w, qF, sim.variant, top_total)
+        if top_total is None:
             winner, crowd_wins = outcome
             X = crowd_wins.astype(float)
             pay = V * X
             wins = np.bincount(winner[crowd_wins], minlength=n)[:, None]
         else:
             found, rank = outcome
-            X = found.sum(axis=1).astype(float)  # finders all get some rank
-            pay = (prizes[rank] * found).sum(axis=1)
+            K = found.sum(axis=1)
+            X = K.astype(float)
+            pay = top_total[K]  # finders score below 1, so they hold the top K ranks
             cells = (agents * n + rank)[found]
             wins = np.bincount(cells, minlength=n * n).reshape(n, n)
         S = searched.sum(axis=1).astype(float)
@@ -298,14 +299,12 @@ def _dense_tallies(sim, n, thr, F_thr, qF, V, prizes):
     return map(tally, _chunks(sim, n))
 
 
-def _count_tallies(sim, n, thr, F, q, V, prizes):
+def _count_tallies(sim, n, thr, F, q, V, top_total):
     """The same for n alike agents at threshold thr, except that the win
     counts are each rank's total over all agents."""
-    if prizes is not None:
-        top_total = np.concatenate(([0.0], np.cumsum(prizes)))  # paid when K find
     for S, K, x, v in _count_chunks(sim, n, F, q):
         success = K > 0 if x is None else (K > 0) | x
-        if prizes is None:
+        if top_total is None:
             crowd_wins = _takes_prize(K, 0, x, v, sim.variant)
             X = crowd_wins.astype(float)
             pay = V * X
@@ -324,10 +323,12 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
     n, thr, F_thr, q_arr, prizes = _resolve(d, cfg, sim)
     reps = int(sim.replications)
     alike = _alike(sim.variant, thr)
+    # The prizes paid when the top K ranks are taken, for K = 0..n.
+    top_total = None if prizes is None else np.concatenate(([0.0], np.cumsum(prizes)))
     if alike:
-        chunks = _count_tallies(sim, n, thr[0], F_thr[0], cfg.q, cfg.V, prizes)
+        chunks = _count_tallies(sim, n, thr[0], F_thr[0], cfg.q, cfg.V, top_total)
     else:
-        chunks = _dense_tallies(sim, n, thr, F_thr, q_arr * F_thr, cfg.V, prizes)
+        chunks = _dense_tallies(sim, n, thr, F_thr, q_arr * F_thr, cfg.V, top_total)
 
     # Accumulators. X = per-replication searcher payout events, S = number
     # of searchers; their cross moments feed the ratio-estimator SEs.

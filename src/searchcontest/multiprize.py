@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import InputError, check_find_probability, check_positive
+from ._numerics import prob_any, solve_cutoff
 from .distributions import CostDistribution
 from .equilibrium import (
     ContestConfig,
@@ -63,22 +64,12 @@ class PrizeStructure:
         return float(sum(self.values))
 
     @staticmethod
-    def _top_and_rest(top: float, rest: float, n: int) -> "PrizeStructure":
-        """The top prize, then n - 1 equal ones."""
-        try:
-            values = (top,) + (rest,) * (int(n) - 1)
-        except MemoryError:
-            raise InputError(f"n = {n} prizes do not fit in memory") from None
-        return PrizeStructure(values)
-
-    @staticmethod
     def winner_takes_all(V: float, n: int) -> "PrizeStructure":
-        return PrizeStructure._top_and_rest(float(V), 0.0, n)
+        return PrizeStructure.mixed(V, n, 1.0)
 
     @staticmethod
     def equal_split(V: float, n: int) -> "PrizeStructure":
-        share = float(V) / int(n)
-        return PrizeStructure._top_and_rest(share, share, n)
+        return PrizeStructure.mixed(V, n, 0.0)
 
     @staticmethod
     def mixed(V: float, n: int, weight: float) -> "PrizeStructure":
@@ -86,13 +77,20 @@ class PrizeStructure:
         if not (0.0 <= weight <= 1.0):
             raise InputError(f"mix weight must lie in [0, 1], got {weight}")
         base = (1.0 - weight) * float(V) / int(n)
-        return PrizeStructure._top_and_rest(base + weight * float(V), base, n)
+        try:
+            return PrizeStructure((base + weight * float(V),) + (base,) * (int(n) - 1))
+        except MemoryError:
+            raise InputError(f"n = {n} prizes do not fit in memory") from None
+
+
+def _check_field(n: int) -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise InputError(f"n must be an integer >= 1, got {n!r}")
 
 
 def _check_rank_args(d: CostDistribution, q: float, n: int, m: int, c_hat: float) -> float:
     check_find_probability(q)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InputError(f"n must be an integer >= 1, got {n!r}")
+    _check_field(n)
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= n):
         raise InputError(f"rank m must be an integer in [1, {n}], got {m!r}")
     d._check_in_support(c_hat)
@@ -244,12 +242,14 @@ def solve_threshold_multi(
 def achievable_interval(d: CostDistribution, q: float, n: int, V: float) -> tuple[float, float]:
     """Cutoffs reachable by some prize structure with purse V.
 
-    The equal split gives the lowest cutoff (V q / n when interior) and
-    winner-takes-all the highest (the baseline c*(V)).
+    The equal split (the constant map V q / n) gives the lowest cutoff and
+    winner-takes-all the highest (the baseline c*(V)); at n = 1 both are one
+    structure, and one solver makes both ends one double.
     """
-    lo_res = solve_threshold_multi(d, q, n, PrizeStructure.equal_split(V, n))
+    _check_field(n)
     hi_res = solve_threshold(d, ContestConfig(n=float(n), q=q, V=V))
-    return (lo_res.threshold, hi_res.threshold)
+    lo, _ = solve_cutoff(lambda c: V * q / n, *d.support())
+    return (lo, hi_res.threshold)
 
 
 def principal_value_multi(
@@ -267,8 +267,11 @@ def principal_value_multi(
 
 @dataclass(frozen=True)
 class StructureSolution:
+    """top_prize pays rank 1 and other_prize each of ranks 2..n (none at n = 1)."""
+
     threshold: float
-    structure: PrizeStructure
+    top_prize: float
+    other_prize: float
     mix_weight: float  # weight on winner-takes-all in the optimal mix
     regime: str  # "equal-split" | "interior-mix" | "winner-takes-all"
     value: float
@@ -290,35 +293,37 @@ def optimal_prize_structure(
     with equality for the cheapest structure there. So over cheapest
     structures the payoff depends only on c: maximize it exactly over the
     achievable interval [a, b], then realize the target with the cheapest
-    winner-takes-all / equal-split mix. Its weight is 0 at a, 1 at an
-    interior winner-takes-all cutoff b, and otherwise solves
-    lam*V*Phi1(c) + (1-lam)*V*q/n = c, clipped to [0, 1]; where
+    winner-takes-all / equal-split mix. Its map is
+    lam*V*Phi1(c) + (1-lam)*V*q/n in closed form, Phi1 = win_probability,
+    and its weight is 0 at a, 1 at an interior winner-takes-all cutoff b,
+    and otherwise solves map(c) = c, clipped to [0, 1]; where
     winner-takes-all clamps at the top, that mix induces it for less.
     """
     check_positive("V", V)
+    check_positive("W", W)
     a, b = achievable_interval(d, q, n, V)
     target = _best_cutoff(d, q, float(n), W, a, b)
-
+    split = V * q / n
+    wta = V * win_probability(d, ContestConfig(n=float(n), q=q, V=V), target)
     if target == a:
         weight, regime = 0.0, "equal-split"
     elif target == b < d.support()[1]:
         weight, regime = 1.0, "winner-takes-all"
     else:
-        split = V * q / n
-        wta = V * win_probability(d, ContestConfig(n=float(n), q=q, V=V), target)
         weight, regime = min(max((target - split) / (wta - split), 0.0), 1.0), "interior-mix"
-    structure = PrizeStructure.mixed(V, n, weight)
-    value = principal_value_multi(d, q, n, W, structure)
+    other = (1.0 - weight) * V / n  # the prizes of PrizeStructure.mixed
+    F = d.cdf(target)
     window = (
         stakes_for_threshold(d, q, float(n), a),
         stakes_for_threshold(d, q, float(n), b),
     )
     return StructureSolution(
         threshold=target,
-        structure=structure,
+        top_prize=other + weight * V,
+        other_prize=other,
         mix_weight=weight,
         regime=regime,
-        value=value,
+        value=W * prob_any(q * F, n) - n * F * (weight * wta + (1.0 - weight) * split),
         stakes_window=window,
         certified=True,
     )

@@ -168,7 +168,7 @@ def test_prize_structure_pays_the_cheapest_mix_at_the_top_of_the_support(capsys)
     res = rec["results"]
     assert res["regime"] == "interior-mix"
     assert res["mix_weight"] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert res["prizes"] == pytest.approx([2.5, 0.5], abs=1e-12)
+    assert [res["top_prize"], res["other_prize"]] == pytest.approx([2.5, 0.5], abs=1e-12)
     assert res["value"] == pytest.approx(73.0, abs=1e-12)
 
 
@@ -183,11 +183,12 @@ def test_prize_structure_payload_and_csv(capsys):
     assert res["regime"] == "interior-mix"
     assert res["mix_weight"] == pytest.approx(0.5, abs=1e-9)
     assert res["value"] == pytest.approx(1.8, abs=1e-9)
-    assert res["prizes"][0] == pytest.approx(0.75, abs=1e-9)
+    assert res["top_prize"] == pytest.approx(0.75, abs=1e-9)
+    assert res["other_prize"] == pytest.approx(0.25, abs=1e-9)
 
     code, out = run_cli(capsys, argv + ["--format", "csv"])
     assert code == 0
-    assert "0.75;0.25" in out
+    assert out.splitlines()[1].startswith("0.6,0.75,0.25,0.5,interior-mix,")
 
 
 def test_expert_payload(capsys):
@@ -350,8 +351,8 @@ SCHEMAS = {
                    "stakes_window"], None),
     "prize-structure": (["prize-structure", "--dist", U01, "--q", "1", "--n", "2",
                          "--W", "3", "--V", "1"],
-                        ["threshold", "prizes", "mix_weight", "regime", "value",
-                         "stakes_window", "certified"], None),
+                        ["threshold", "top_prize", "other_prize", "mix_weight", "regime",
+                         "value", "stakes_window", "certified"], None),
     "expert": (["expert", "--dist", U01, "--q", "0.5", "--qe", "0.3", "--n", "3", "--V", "1"],
                ["threshold", "crowd_success_prob", "total_success_prob", "win_prob",
                 "interior", "critical_expertise", "mode"], None),
@@ -437,12 +438,26 @@ def test_malformed_json_input_exits_two(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_prize_structure_rejects_a_field_too_large_for_memory(capsys):
+def test_prize_structure_solves_a_field_of_any_size(capsys):
+    # The designer builds no per-rank vector, so n = 1e12 costs what n = 2 does.
     argv = ["prize-structure", "--dist", U01, "--q", "0.5", "--n", "1e12", "--W", "2",
             "--V", "1"]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1000000000000" in err
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    res = rec["results"]
+    assert res["certified"] is True
+    assert 0.0 < res["threshold"] < 1.0
+    assert res["top_prize"] >= res["other_prize"] >= 0.0
+
+
+def test_prize_structure_on_a_power_law_at_a_tiny_cutoff(capsys):
+    # The density c^(alpha - 1) of a power law with alpha < 1 overflows a
+    # double near c = 0; it reads +inf there instead of raising.
+    argv = ["prize-structure", "--dist", '{"kind":"power","alpha":1e-3}', "--q", "1e-300",
+            "--n", "2", "--W", "2", "--V", "1e-10"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert rec["results"]["regime"] == "equal-split"
 
 
 def test_simulate_rejects_a_negative_seed(capsys):
@@ -469,7 +484,7 @@ EXTREME_LAWS = [
     '{"kind":"piecewise_linear","knots":[[0,0],[0.5,0.5],[0.7,0.5],[1,1]]}',
     UQ,
 ]
-EXTREME_N = ["1", "1.000000001", "2", "1e12"]
+EXTREME_N = ["1", "1.000000001", "2", "1e12", "inf", "nan"]
 EXTREME_Q = ["1", "0.5", "1e-300"]
 SIM_50 = ["--V", "1", "--reps", "50"]
 

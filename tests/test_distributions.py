@@ -76,6 +76,13 @@ def test_power_law_reverse_hazard():
     assert d.reverse_hazard(0.0) == 0.0
 
 
+def test_power_law_density_past_the_largest_double_is_inf():
+    # At alpha = 1e-3, c^(alpha - 1) overflows a double below c ~ 1e-309.
+    d = PowerLaw(1e-3)
+    assert d.pdf(5e-311) == math.inf
+    assert d.pdf(1e-300) == pytest.approx(1e-3 * 1e-300 ** (1e-3 - 1.0))
+
+
 @pytest.mark.parametrize("alpha", [0.0, -2.0, math.inf, math.nan])
 def test_power_law_rejects_bad_alpha(alpha):
     with pytest.raises(InputError):

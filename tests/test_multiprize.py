@@ -347,11 +347,13 @@ def test_optimal_structure_interior_mix_regime():
     assert sol.regime == "interior-mix"
     assert sol.mix_weight == pytest.approx(0.5, abs=1e-9)
     assert sol.threshold == pytest.approx(0.6, abs=1e-9)
-    assert sol.structure.values[0] == pytest.approx(0.75, abs=1e-9)
-    assert sol.structure.values[1] == pytest.approx(0.25, abs=1e-9)
+    assert sol.top_prize == pytest.approx(0.75, abs=1e-9)
+    assert sol.other_prize == pytest.approx(0.25, abs=1e-9)
     assert sol.value == pytest.approx(1.8, abs=1e-9)
     # The reported structure really induces the reported cutoff.
-    induced = solve_threshold_multi(U01, 1.0, 2, sol.structure)
+    structure = PrizeStructure.mixed(1.0, 2, sol.mix_weight)
+    assert structure.values == (sol.top_prize, sol.other_prize)
+    induced = solve_threshold_multi(U01, 1.0, 2, structure)
     assert induced.threshold == pytest.approx(sol.threshold, abs=1e-9)
 
 
@@ -367,7 +369,7 @@ def test_optimal_structure_on_a_kinked_law():
     best = objective(d, 0.5, 3.0, 8.0, sol.threshold)
     assert sol.value == pytest.approx(8.0 + best, abs=1e-12)
     assert best >= max(objective(d, 0.5, 3.0, 8.0, float(c)) for c in np.linspace(a, b, 20001))
-    induced = solve_threshold_multi(d, 0.5, 3, sol.structure)
+    induced = solve_threshold_multi(d, 0.5, 3, PrizeStructure.mixed(2.0, 3, sol.mix_weight))
     assert induced.threshold == pytest.approx(sol.threshold, abs=1e-9)
 
 
@@ -424,8 +426,61 @@ def test_optimal_structure_beats_every_mix_on_a_grid():
         assert value >= best_mix - 1e-12 * max(1.0, abs(value)), (trial, n, q, V, W)
 
 
+def _structure_problems(seed, count):
+    """Seeded designer problems (d, q, n, W, V): uniform, power and
+    piecewise-linear laws, some with flat stretches; n from 1 to 2000, q = 1
+    in about half; purses from well inside the support to past the one at
+    which winner-takes-all clamps at its top, and stakes around that top's."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            lo = float(rng.uniform(0.0, 1.0))
+            d = Uniform(lo, lo + float(rng.uniform(0.1, 2.0)))
+        elif k % 3 == 1:
+            d = PowerLaw(float(rng.uniform(0.2, 6.0)))
+        else:
+            rises = rng.uniform(0.05, 1.0, 4) * (rng.random(4) < 0.7)
+            rises[rng.integers(4)] += 0.5
+            d = _piecewise_law(list(zip(rng.uniform(0.05, 1.0, 4).tolist(), rises.tolist())))
+        n = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
+        q = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0))
+        hi = d.support()[1]
+        v_top = hi / win_probability(d, ContestConfig(n=float(n), q=q, V=1.0), hi)
+        V = v_top * float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
+        W = min(stakes_for_threshold(d, q, float(n), hi), 1e6 * hi / q)
+        W *= float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        yield d, q, n, W, V
+
+
+def test_optimal_structure_matches_its_rank_prize_vector():
+    # The closed-form designer against the general rank-prize solver run on
+    # the n-prize vector of the reported mix.
+    for d, q, n, W, V in _structure_problems(19, 60):
+        sol = optimal_prize_structure(d, q, n, W, V)
+        structure = PrizeStructure.mixed(V, n, sol.mix_weight)
+        assert structure.values[:2] == (sol.top_prize, sol.other_prize)[:n]
+        value = principal_value_multi(d, q, n, W, structure)
+        assert sol.value == pytest.approx(value, rel=1e-12), (d, q, n, W, V)
+        induced = solve_threshold_multi(d, q, n, structure).threshold
+        assert sol.threshold == pytest.approx(induced, abs=1e-12), (d, q, n, W, V)
+
+
+def test_optimal_structure_builds_no_prize_vector(monkeypatch):
+    # Every step of the designer is closed form: no O(n) binomial law.
+    def fail(*args):
+        raise AssertionError("optimal_prize_structure evaluated an n-sized binomial law")
+
+    monkeypatch.setattr(multiprize, "_binomial_pmf", fail)
+    for d, q, n, W, V in _structure_problems(20, 30):
+        optimal_prize_structure(d, q, n, W, V)
+    assert optimal_prize_structure(U01, 0.5, 10**12, 3.0, 1.0).certified
+
+
 def test_optimal_structure_validation():
     with pytest.raises(InputError):
         optimal_prize_structure(U01, 1.0, 2, 2.0, -1.0)
     with pytest.raises(InputError):
         principal_value_multi(U01, 1.0, 2, 0.0, PrizeStructure((1.0, 0.0)))
+    for W, n in ((0.0, 2), (2.0, 2.5), (2.0, 2.0), (2.0, 0)):
+        with pytest.raises(InputError):
+            optimal_prize_structure(U01, 1.0, n, W, 1.0)
