@@ -8,9 +8,9 @@ library reports when those assumptions are dropped:
    rises on two pieces, not one, and the two-player equilibrium set is a
    whole segment of asymmetric equilibria (c1, 1 - c1), solved exactly,
    instead of a single point.
-2. With unequal find probabilities the Gauss-Seidel solve produces
-   per-agent cutoffs; stronger agents search more, and the success
-   probability decomposes agent by agent.
+2. With unequal find probabilities the solve (Gauss-Seidel sweeps, then
+   chord-Newton steps) produces per-agent cutoffs; stronger agents search
+   more, and the success probability decomposes agent by agent.
 3. The designer's ideal cutoffs can form a vector that no single prize
    implements, for unequal agents and, on the kinked law, for equal ones;
    the solver reports the implied-prize disagreement instead of papering
@@ -58,7 +58,8 @@ def main():
     contest = HeteroContest((0.9, 0.6, 0.3), 1.0, Uniform(0.0, 1.0))
     sol = solve_thresholds(contest)
     total = success_probability(contest, sol.thresholds)
-    print(f"  converged in {sol.sweeps} sweeps; P = {total:.6f}")
+    print(f"  converged in {sol.sweeps} sweeps and {sol.newton_steps} Newton steps; "
+          f"P = {total:.6f}")
     shares = agent_win_probabilities(contest, sol.thresholds)
     for q_i, c_i, psi in zip(contest.q_values, sol.thresholds, shares):
         share = contest.dist.cdf(c_i) * psi

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -43,6 +44,15 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _null_unbounded_stakes(results: dict) -> dict:
+    """results with an unbounded (+inf) stakes end as None, written null:
+    strict JSON has no Infinity token."""
+    if "stakes_window" not in results:
+        return results
+    return {**results, "stakes_window": [None if math.isinf(v) else v
+                                         for v in results["stakes_window"]]}
+
+
 def _fmt_csv(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -62,7 +72,7 @@ def _emit(args, argv, results, rows, started) -> None:
         record = {
             "command": ["searchcontest"] + list(argv),
             "config": _config_echo(args),
-            "results": results,
+            "results": _null_unbounded_stakes(results),
             "version": __version__,
             "wall_time_s": time.perf_counter() - started,
         }
@@ -172,6 +182,7 @@ def _cmd_hetero(args):
         "thresholds": tv.thresholds,
         "success_prob": het_mod.success_probability(contest, tv.thresholds),
         "sweeps": tv.sweeps,
+        "newton_steps": tv.newton_steps,
         "converged": tv.converged,
     }
     if args.W is not None:

@@ -132,8 +132,8 @@ class PowerLaw(CostDistribution):
         # alpha < 1 diverges at 0; callers only evaluate interior points.
         try:
             return self.alpha * c ** (self.alpha - 1.0)
-        except OverflowError:  # c^(alpha - 1) past the largest double
-            return math.inf
+        except OverflowError:  # c^(alpha - 1) past the largest double; the density need not be
+            return self.alpha * c**self.alpha / c
 
     def reverse_hazard(self, c: float) -> float:
         if self.cdf(c) == 0.0:

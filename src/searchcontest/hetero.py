@@ -13,11 +13,17 @@ serves every agent: the matrix of log factors log(1 - pi_j + pi_j t_k), one
 row per agent and one column per node, gives each leave-one-out share as
 the weighted sum of exp(column sums - own row).
 
-Equilibria come from Gauss-Seidel sweeps of the best responses
-c_i = V psi_i, which keep the column sums current. The designer's system is
-swept the same way: with the other cutoffs fixed, the designer's objective
-in c_i is (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - pi_j), the
-single-prize designer problem with one sure finder.
+The same kernel gives the shares' Jacobian: for j != i,
+d psi_i / d c_j = q_i q_j f(c_j) sum_k g_k A_ik A_jk with A_ik = exp(-row_ik)
+and g_k = w_k (t_k - 1) exp(column sum k), of rank K off the diagonal.
+
+Equilibria come from Gauss-Seidel, then chord-Newton. Sweeps of the best
+responses c_i = V psi_i, which keep the column sums current, carry the
+cutoffs near the equilibrium; Newton steps on that Jacobian, factored
+once, finish them. The designer's system is swept alone: with the other
+cutoffs fixed, the designer's objective in c_i is (K_i - c) F(c) with
+K_i = W q_i prod_{j != i} (1 - pi_j), the single-prize designer problem
+with one sure finder.
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -43,6 +49,13 @@ from .principal import _best_cutoff
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
+# Sweeps hand over to chord-Newton once a sweep moves no cutoff by
+# POLISH_MOVE and contracts by POLISH_RATIO or faster, in fields of up to
+# POLISH_MAX_N agents; past that the O(nK^2) factor costs more than the
+# sweeps it saves.
+POLISH_MOVE = 1e-3
+POLISH_RATIO = 0.95
+POLISH_MAX_N = 2000
 PRIZE_AGREEMENT_TOL = 1e-8
 SCAN_TOL = 1e-9
 LEVEL_TOL = 1e-13
@@ -75,7 +88,8 @@ class HeteroContest:
 class ThresholdVector:
     thresholds: np.ndarray  # thresholds[i] is agent i's cutoff
     converged: bool
-    sweeps: int
+    sweeps: int  # Gauss-Seidel sweeps
+    newton_steps: int = 0  # chord-Newton steps kept after the sweeps
 
 
 def _find_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
@@ -94,7 +108,14 @@ def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_factors(pi, t: np.ndarray) -> np.ndarray:
     """log(1 - pi_j + pi_j t_k); finite because every node is positive."""
-    return np.log1p(np.multiply.outer(pi, t - 1.0))
+    x = np.multiply.outer(pi, t - 1.0)
+    return np.log1p(x, out=x)
+
+
+def _shares(q: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """psi_i = q_i sum_k w_k exp(column sum k - row_ik)."""
+    x = rows.sum(axis=0) - rows
+    return q * (np.exp(x, out=x) @ w)
 
 
 def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
@@ -102,7 +123,32 @@ def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
     the given cutoffs."""
     t, w = _quadrature(contest.n)
     rows = _log_factors(_find_probabilities(contest, thresholds), t)
-    return np.asarray(contest.q_values) * (np.exp(rows.sum(axis=0) - rows) @ w)
+    return _shares(np.asarray(contest.q_values), rows, w)
+
+
+def share_jacobian(contest: HeteroContest, thresholds) -> tuple[np.ndarray, ...]:
+    """Factors (P, g, R) of the win shares' Jacobian: for j != i,
+
+        d psi_i / d c_j = sum_k P[i, k] g[k] R[j, k],
+
+    with P_ik = q_i A_ik, R_jk = q_j f(c_j) A_jk, g_k = w_k (t_k - 1) E_k,
+    A_ik = 1 / (1 - pi_i (1 - t_k)) and E_k = prod_j (1 - pi_j (1 - t_k));
+    d psi_i / d c_i = 0. P and R are n x K for K = floor(n/2) + 1 nodes, so
+    the n x n matrix is never built. The cutoffs must lie in the support.
+    """
+    t, w = _quadrature(contest.n)
+    rows = _log_factors(_find_probabilities(contest, thresholds), t)
+    f = np.array([contest.dist.pdf(float(x)) for x in thresholds])
+    P, g = _jacobian_factors(np.asarray(contest.q_values), rows, rows.sum(axis=0), t, w)
+    return P, g, f[:, None] * P
+
+
+def _jacobian_factors(q, rows, cols, t, w):
+    """P and g of share_jacobian from log-factor rows (any subset of the
+    agents) and the column sums over every agent."""
+    P = np.exp(-rows)
+    P *= q[:, None]
+    return P, w * (t - 1.0) * np.exp(cols)
 
 
 def success_probability(contest: HeteroContest, thresholds) -> float:
@@ -113,11 +159,18 @@ def success_probability(contest: HeteroContest, thresholds) -> float:
     return -math.expm1(float(np.sum(np.log1p(-pi))))
 
 
-def _gauss_seidel(c: np.ndarray, best_response) -> ThresholdVector:
+def _gauss_seidel(c: np.ndarray, best_response, polish=None) -> ThresholdVector:
     """Set c_i = best_response(i) for each agent in turn, sweeping until a
     sweep's largest move delta and the tail bound delta rho / (1 - rho),
-    rho = delta / previous delta < 1, are both below SWEEP_TOL."""
+    rho = delta / previous delta < 1, are both below SWEEP_TOL.
+
+    polish, if given, runs once, after the first sweep with delta below
+    POLISH_MOVE and rho below POLISH_RATIO. It returns its kept steps and
+    whether it converged; if it did not, the sweeps go on from where it
+    left c.
+    """
     prev = math.inf
+    steps = 0
     for sweep in range(1, MAX_SWEEPS + 1):
         delta = 0.0
         for i in range(c.size):
@@ -126,17 +179,25 @@ def _gauss_seidel(c: np.ndarray, best_response) -> ThresholdVector:
             c[i] = new_ci
         rho = delta / prev
         if delta < SWEEP_TOL and rho < 1.0 and delta * rho / (1.0 - rho) < SWEEP_TOL:
-            return ThresholdVector(thresholds=c, converged=True, sweeps=sweep)
+            return ThresholdVector(c, True, sweep, steps)
+        if polish is not None and delta < POLISH_MOVE and rho < POLISH_RATIO:
+            steps, done = polish()
+            if done:
+                return ThresholdVector(c, True, sweep, steps)
+            polish = None
         prev = delta
-    return ThresholdVector(thresholds=c, converged=False, sweeps=MAX_SWEEPS)
+    return ThresholdVector(c, False, MAX_SWEEPS, steps)
 
 
 def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
-    """Equilibrium cutoff vector by Gauss-Seidel best responses.
+    """Equilibrium cutoff vector by Gauss-Seidel, then chord-Newton.
 
     Starts from the symmetric solution at the mean find probability and
-    sweeps c_i = V psi_i, clamped into the support. Convergence is
-    reported, not assumed; callers decide how to treat a False flag.
+    sweeps c_i = V psi_i, clamped into the support. Once the sweeps are
+    near the equilibrium (see POLISH_MOVE), chord-Newton steps finish the
+    interior agents; if one is refused, the sweeps go on from the last kept
+    step and finish alone, so the sweeps pick the equilibrium. Convergence
+    is reported, not assumed; callers decide how to treat a False flag.
     """
     d = contest.dist
     lo, hi = d.support()
@@ -157,7 +218,59 @@ def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
         cols += rows[i]
         return c_i
 
-    return _gauss_seidel(c, best_response)
+    polish = None if contest.n > POLISH_MAX_N else lambda: _chord_newton(contest, c, rows, t, w)
+    return _gauss_seidel(c, best_response, polish)
+
+
+def _chord_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w):
+    """Newton steps on r(c) = c - clamp(V psi(c)) for the interior agents I,
+    with one Jacobian, J = diag(D) - P diag(g) R^T (share_jacobian, rows
+    of I, V in P), taken at the start. Woodbury reduces J^-1 to the K x K
+    capacitance matrix I - diag(g) R^T diag(D)^-1 P, inverted once, so a
+    step costs O(nK). A step is kept only if no agent changes clamp side,
+    every cutoff stays in the support and max |r| at least halves; c and
+    rows then move to it. Returns the kept steps and whether max |r| fell
+    below SWEEP_TOL.
+    """
+    lo, hi = contest.dist.support()
+    q = np.asarray(contest.q_values)
+
+    def image(rows):
+        target = contest.V * _shares(q, rows, w)
+        return target, np.digitize(target, (lo, hi), right=True)  # 1 = interior
+
+    target, side = image(rows)
+    inner = side == 1
+    if not np.all((lo < c[inner]) & (c[inner] < hi)):
+        return 0, False
+    s = np.array([contest.dist.pdf(float(x)) for x in c[inner]]) / contest.V  # R = s P
+    P, g = _jacobian_factors(contest.V * q[inner], rows[inner], rows.sum(axis=0), t, w)
+    with np.errstate(all="ignore"):  # a bad factor fails the checks below
+        D = 1.0 + s * np.einsum("ik,ik,k->i", P, P, g)
+        cap = np.eye(g.size) - g[:, None] * ((P * (s / D)[:, None]).T @ P)
+    if not (np.all(np.isfinite(cap)) and np.all(D != 0.0)):
+        return 0, False
+    try:
+        cap_inv = np.linalg.inv(cap)
+    except np.linalg.LinAlgError:
+        return 0, False
+    resid = float(np.max(np.abs(c - np.clip(target, lo, hi))))
+    steps = 0
+    while resid >= SWEEP_TOL:
+        with np.errstate(all="ignore"):
+            y = (c[inner] - target[inner]) / D
+            trial = np.clip(target, lo, hi)
+            trial[inner] = c[inner] - y - (P @ (cap_inv @ (g * (P.T @ (s * y))))) / D
+        if not np.all((lo <= trial) & (trial <= hi)):
+            return steps, False
+        trial_rows = _log_factors(_find_probabilities(contest, trial), t)
+        trial_target, trial_side = image(trial_rows)
+        trial_resid = float(np.max(np.abs(trial - np.clip(trial_target, lo, hi))))
+        if not (np.array_equal(trial_side, side) and trial_resid <= 0.5 * resid):
+            return steps, False
+        c[:], rows[:], target, resid = trial, trial_rows, trial_target, trial_resid
+        steps += 1
+    return steps, True
 
 
 def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVector:

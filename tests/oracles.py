@@ -8,7 +8,9 @@ rounded values of the exact rational expressions and can be compared to the
 library's stable kernels at 1e-12 and tighter. The transcendental
 large-field limit has no rational form; its oracle is a Lambert-W closed
 form evaluated in mpmath at 50 digits. Fields of heterogeneous agents too
-large to enumerate use a float Poisson-binomial convolution instead.
+large to enumerate use a float Poisson-binomial convolution instead. The
+per-agent equilibrium's reference is the plain Gauss-Seidel loop, with no
+Newton polish.
 
 Conventions: F is the CDF value at the cutoff, q the find probability, n
 the number of agents (the evaluated agent included), m a prize rank.
@@ -96,13 +98,8 @@ def expected_prize_sum(F, q, n, values):
     )
 
 
-def psi_subsets(q_i, rival_pi):
-    """Agent win probability by enumerating which rivals find.
-
-    rival_pi holds each rival's marginal find probability q_j F(c_j); the
-    agent searches for sure, finds w.p. q_i, and shares 1/(|S|+1) when the
-    finder subset is S.
-    """
+def _share_subsets(rival_pi):
+    """E[1/(|S|+1)] over the finder subset S of the rivals, exactly."""
     idx = range(len(rival_pi))
     total = Fraction(0)
     for r in range(len(rival_pi) + 1):
@@ -112,7 +109,34 @@ def psi_subsets(q_i, rival_pi):
                 pj = Fraction(rival_pi[j])
                 p *= pj if j in subset else 1 - pj
             total += p / (r + 1)
-    return float(Fraction(q_i) * total)
+    return total
+
+
+def psi_subsets(q_i, rival_pi):
+    """Agent win probability by enumerating which rivals find.
+
+    rival_pi holds each rival's marginal find probability q_j F(c_j); the
+    agent searches for sure, finds w.p. q_i, and shares 1/(|S|+1) when the
+    finder subset is S.
+    """
+    return float(Fraction(q_i) * _share_subsets(rival_pi))
+
+
+def share_jacobian_subsets(q, pi, f):
+    """d psi_i / d c_j by subset enumeration, exactly: psi_i is affine in
+    pi_j, so the slope is q_i (share with pi_j = 1 - share with pi_j = 0),
+    times d pi_j / d c_j = q_j f(c_j). Returns rows of Fractions."""
+    n = len(q)
+    jac = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                rivals = [pi[k] for k in range(n) if k != i]
+                pos = j - (j > i)
+                slope = (_share_subsets(rivals[:pos] + [1] + rivals[pos + 1:])
+                         - _share_subsets(rivals[:pos] + [0] + rivals[pos + 1:]))
+                jac[i][j] = Fraction(q[i]) * slope * Fraction(q[j]) * Fraction(f[j])
+    return jac
 
 
 def pmf_subsets(probs):
@@ -373,3 +397,38 @@ def bisect_plain(fn, lo, hi):
             lo = mid
         else:
             hi = mid
+
+
+def gauss_seidel_thresholds(contest):
+    """Per-agent equilibrium cutoffs by Gauss-Seidel sweeps alone, as
+    ``hetero.solve_thresholds`` ran them before its chord-Newton polish:
+    from the symmetric cutoff at the mean q, set c_i = clamp(V psi_i) agent
+    by agent until a sweep's move delta and the tail bound
+    delta rho / (1 - rho) are below SWEEP_TOL. Returns (c, converged, sweeps).
+    """
+    from searchcontest import hetero
+    from searchcontest.equilibrium import ContestConfig, solve_threshold
+
+    d, V, n = contest.dist, contest.V, contest.n
+    lo, hi = d.support()
+    q = np.asarray(contest.q_values)
+    sym = solve_threshold(d, ContestConfig(n=float(n), q=float(np.mean(q)), V=V))
+    c = np.full(n, sym.threshold)
+    t, w = hetero._quadrature(n)
+    rows = np.log1p(np.multiply.outer(q * np.array([d.cdf(float(x)) for x in c]), t - 1.0))
+    prev = math.inf
+    for sweep in range(1, hetero.MAX_SWEEPS + 1):
+        cols = rows.sum(axis=0)
+        delta = 0.0
+        for i in range(n):
+            cols -= rows[i]
+            c_i = min(max(V * q[i] * float(np.exp(cols) @ w), lo), hi)
+            rows[i] = np.log1p(q[i] * d.cdf(c_i) * (t - 1.0))
+            cols += rows[i]
+            delta = max(delta, abs(c_i - c[i]))
+            c[i] = c_i
+        rho = delta / prev
+        if delta < hetero.SWEEP_TOL and rho < 1.0 and delta * rho / (1.0 - rho) < hetero.SWEEP_TOL:
+            return c, True, sweep
+        prev = delta
+    return c, False, hetero.MAX_SWEEPS

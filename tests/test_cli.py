@@ -357,7 +357,7 @@ SCHEMAS = {
                ["threshold", "crowd_success_prob", "total_success_prob", "win_prob",
                 "interior", "critical_expertise", "mode"], None),
     "hetero": (["hetero", "--dist", U01, "--qvec", "[0.5,0.5,0.5]", "--V", "1", "--W", "2"],
-               ["thresholds", "success_prob", "sweeps", "converged", "principal"],
+               ["thresholds", "success_prob", "sweeps", "newton_steps", "converged", "principal"],
                ["agent", "q", "threshold"]),
     "asymptotics": (["asymptotics", "--dist", UQ, "--q", "0.5", "--V", "1", "--W", "2",
                      "--rate", "gap"],
@@ -379,6 +379,38 @@ def test_record_schema(capsys, name):
     code, out = run_cli(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert out.splitlines()[0].split(",") == (keys if header is None else header)
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+# Unbounded stakes ends: q = 1 < n, and stakes past the largest double at
+# n = 1e12.
+UNBOUNDED = {
+    "principal-sure-finders": ["principal", "--dist", U01, "--q", "1", "--n", "3", "--W", "2"],
+    "prize-structure-1e12": ["prize-structure", "--dist", U01, "--q", "0.5", "--n", "1e12",
+                             "--W", "3", "--V", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", [v[0] for v in SCHEMAS.values()] + list(UNBOUNDED.values()),
+                         ids=[*SCHEMAS, *UNBOUNDED])
+def test_record_is_strict_json(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    json.loads(out, parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("name", UNBOUNDED)
+def test_an_unbounded_stakes_end_is_written_as_null(capsys, name):
+    code, out = run_cli(capsys, UNBOUNDED[name])
+    assert code == 0
+    assert json.loads(out, parse_constant=_refuse)["results"]["stakes_window"][1] is None
+    # CSV keeps its own spelling of the unbounded end.
+    code, out = run_cli(capsys, UNBOUNDED[name] + ["--format", "csv"])
+    assert code == 0
+    assert ";inf" in out.splitlines()[1]
 
 
 # ------------------------------------------------------------- error paths
@@ -558,6 +590,21 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c",
          "import searchcontest.cli, sys; "
          "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_polynomial_module():
+    # hetero's quadrature imports numpy.polynomial when a solve first needs
+    # it, so the CLI loads no module that numpy itself does not.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; before = set(sys.modules); import searchcontest.cli; "
+         "print(sorted(m for m in set(sys.modules) - before "
+         "if m.startswith(('numpy.polynomial', 'scipy'))))"],
         capture_output=True,
         text=True,
     )

@@ -1,6 +1,7 @@
 import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,10 +78,25 @@ def test_power_law_reverse_hazard():
 
 
 def test_power_law_density_past_the_largest_double_is_inf():
-    # At alpha = 1e-3, c^(alpha - 1) overflows a double below c ~ 1e-309.
+    # At alpha = 1e-3 the density itself passes the largest double below
+    # c ~ 3e-312; at 5e-321 it would be about 1e317.
     d = PowerLaw(1e-3)
-    assert d.pdf(5e-311) == math.inf
+    assert d.pdf(5e-321) == math.inf
     assert d.pdf(1e-300) == pytest.approx(1e-3 * 1e-300 ** (1e-3 - 1.0))
+
+
+@pytest.mark.parametrize("c", [5e-311, 1e-309, 2.5e-310])
+def test_power_law_density_stays_finite_where_only_the_power_overflows(c):
+    # c^(alpha - 1) overflows below c ~ 1e-309, but alpha c^(alpha - 1) does not.
+    exact = mpmath.mpf(1e-3) * mpmath.mpf(c) ** (mpmath.mpf(1e-3) - 1)
+    assert PowerLaw(1e-3).pdf(c) == pytest.approx(float(exact), rel=1e-12)
+    assert math.isfinite(PowerLaw(1e-3).pdf(c))
+
+
+def test_power_law_density_is_unchanged_where_the_power_is_finite():
+    d = PowerLaw(1e-3)
+    for c in (1.1e-308, 1e-300, 1e-5, 0.5, 1.0):
+        assert d.pdf(c) == 1e-3 * c ** (1e-3 - 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -2.0, math.inf, math.nan])

@@ -14,12 +14,16 @@ import oracles
 from searchcontest import ConvergenceError, InputError, cli
 from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.equilibrium import ContestConfig, solve_threshold, win_probability
+from searchcontest import hetero
 from searchcontest.hetero import (
     SCAN_TOL,
+    SWEEP_TOL,
     HeteroContest,
+    ThresholdVector,
     agent_win_probabilities,
     best_response_n2,
     best_response_scan_n2,
+    share_jacobian,
     solve_principal_hetero,
     solve_principal_thresholds,
     solve_thresholds,
@@ -56,6 +60,26 @@ def tiebreak_share(rival_pi):
     k = len(rival_pi)
     contest = HeteroContest((1.0,) * (k + 1), 1.0, U01)
     return float(agent_win_probabilities(contest, (1.0, *rival_pi))[0])
+
+
+def dense_jacobian(contest, c):
+    """d psi_i / d c_j as an n x n matrix, from share_jacobian's factors."""
+    P, g, R = share_jacobian(contest, c)
+    jac = (P * g) @ R.T
+    np.fill_diagonal(jac, 0.0)
+    return jac
+
+
+def seeded_crowds(count, seed):
+    """Crowds of 2..60 agents on U[0, 1], U[0.2, 1.3] or a power law with
+    alpha in [0.5, 6], with V in [0.3, 3] and about one sure finder in ten."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 61))
+        d = (U01, Uniform(0.2, 1.3), PowerLaw(float(rng.uniform(0.5, 6.0))))[rng.integers(3)]
+        q = rng.uniform(0.05, 1.0, n)
+        q[rng.random(n) < 0.1] = 1.0
+        yield HeteroContest(tuple(q), float(rng.uniform(0.3, 3.0)), d)
 
 
 def share_by_convolution(pi, i):
@@ -168,6 +192,49 @@ def test_success_probability_shape_validation():
         success_probability(contest, np.array([0.5]))
 
 
+# ------------------------------------------------------ share Jacobian
+
+
+@pytest.mark.parametrize("n", [3, 10, 50])
+@pytest.mark.parametrize("d", [U01, PowerLaw(3.0), KINKED], ids=["uniform", "power3", "kinked"])
+def test_share_jacobian_matches_central_differences(n, d):
+    rng = np.random.default_rng(n)
+    q = rng.uniform(0.1, 1.0, n)
+    c = rng.uniform(0.05, 0.95, n)
+    # Off the kinked law's knots, so that each difference stays on one piece.
+    c[np.min(np.abs(c[:, None] - np.array([3.0, 4.0]) / 7.0), axis=1) < 1e-3] += 2e-3
+    contest = HeteroContest(tuple(q), 1.0, d)
+    h = 1e-6
+    fd = np.empty((n, n))
+    for j in range(n):
+        up, down = c.copy(), c.copy()
+        up[j] += h
+        down[j] -= h
+        fd[:, j] = (agent_win_probabilities(contest, up)
+                    - agent_win_probabilities(contest, down)) / (2.0 * h)
+    P, g, R = share_jacobian(contest, c)
+    assert P.shape == R.shape == (n, n // 2 + 1) and g.shape == (n // 2 + 1,)
+    np.testing.assert_allclose(dense_jacobian(contest, c), fd, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("q, c", [
+    ((0.3, 0.85), (0.4, 0.7)),
+    ((1.0, 0.5), (0.9, 0.1)),
+    ((0.9, 0.6, 0.3), (0.7, 0.4, 0.2)),
+    ((0.2, 1.0, 0.7, 0.55, 0.4), (0.3, 0.95, 0.6, 0.5, 0.05)),
+])
+def test_share_jacobian_matches_exact_rationals(q, c):
+    # On U[0, 1], f = 1 and psi_i is affine in each rival's cutoff.
+    contest = HeteroContest(q, 1.0, U01)
+    pi = [qi * ci for qi, ci in zip(q, c)]
+    exact = oracles.share_jacobian_subsets(q, pi, [1.0] * len(q))
+    if len(q) == 2:  # psi_i = q_i (1 - q_j c_j / 2)
+        assert exact[0][1] == exact[1][0] == -Fraction(q[0]) * Fraction(q[1]) / 2
+    want = np.array([[float(v) for v in row] for row in exact])
+    np.testing.assert_allclose(dense_jacobian(contest, np.array(c)), want,
+                               rtol=1e-13, atol=1e-16)
+
+
 # -------------------------------------------------------------- the contest
 
 
@@ -247,6 +314,58 @@ def test_solve_thresholds_stop_bounds_the_error_not_the_step():
     np.testing.assert_allclose(forward.thresholds, backward.thresholds[::-1], rtol=0.0, atol=3e-11)
 
 
+def test_solve_thresholds_matches_gauss_seidel_on_seeded_crowds():
+    polished = 0
+    for contest in seeded_crowds(300, 21):
+        sol = solve_thresholds(contest)
+        c, converged, sweeps = oracles.gauss_seidel_thresholds(contest)
+        assert sol.converged == converged
+        np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
+        assert sol.sweeps <= sweeps
+        polished += sol.newton_steps > 0
+    assert polished >= 250
+
+
+def test_solve_thresholds_keeps_the_gauss_seidel_equilibrium():
+    # Two equilibria: the sweeps reach (0.784399, 1) with P = 0.796; Newton
+    # from one sweep in would reach (0.9624, 0.9553) with P = 0.768.
+    contest = HeteroContest((0.77, 0.78), 1.67, PowerLaw(9.6))
+    sol = solve_thresholds(contest)
+    assert sol.converged
+    np.testing.assert_allclose(sol.thresholds, (0.784399, 1.0), rtol=0.0, atol=5e-7)
+    np.testing.assert_allclose(sol.thresholds, oracles.gauss_seidel_thresholds(contest)[0],
+                               rtol=0.0, atol=1e-9)
+    assert success_probability(contest, sol.thresholds) == pytest.approx(0.796, abs=5e-4)
+
+
+def test_solve_thresholds_polishes_the_slowly_contracting_crowd():
+    # Sweeps contract by about 0.92 here and take 185 (235 in reverse order).
+    q = (0.952, 0.952, 0.115, 1.0, 0.726)
+    for order in (q, q[::-1]):
+        contest = HeteroContest(order, 2.68, PowerLaw(3.0))
+        sol = solve_thresholds(contest)
+        c, converged, sweeps = oracles.gauss_seidel_thresholds(contest)
+        assert sol.converged and converged
+        assert sol.newton_steps > 0 and sol.sweeps < sweeps
+        np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
+        psi = contest.V * agent_win_probabilities(contest, sol.thresholds)
+        assert np.max(np.abs(sol.thresholds - np.clip(psi, 0.0, 1.0))) < SWEEP_TOL
+
+
+def test_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatch):
+    sol = solve_thresholds(HeteroContest((0.6,), 1.0, U01))
+    assert sol.converged and sol.newton_steps == 0
+    contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
+    polished = solve_thresholds(contest)
+    assert polished.newton_steps > 0
+    # Past the size where the factor pays, the sweeps finish alone.
+    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
+    alone = solve_thresholds(contest)
+    c, converged, sweeps = oracles.gauss_seidel_thresholds(contest)
+    assert alone.newton_steps == 0 and alone.sweeps == sweeps
+    np.testing.assert_array_equal(alone.thresholds, c)
+
+
 # ---------------------------------------------------------- designer solve
 
 
@@ -262,6 +381,17 @@ def test_principal_thresholds_satisfy_first_order_conditions():
         target = 2.0 * q[i] * np.prod(1.0 - q[rivals] * F[rivals])
         lhs = c[i] + U01.reverse_hazard(c[i])
         assert lhs == pytest.approx(target, abs=1e-8)
+
+
+def test_principal_thresholds_are_unchanged_by_the_polish(monkeypatch):
+    crowds = list(seeded_crowds(50, 22))
+    new = [solve_principal_thresholds(contest, W=2.0) for contest in crowds]
+    monkeypatch.setattr(hetero, "solve_thresholds",
+                        lambda contest: ThresholdVector(*oracles.gauss_seidel_thresholds(contest)))
+    for contest, sol in zip(crowds, new):
+        old = solve_principal_thresholds(contest, W=2.0)
+        assert sol.converged == old.converged
+        np.testing.assert_allclose(sol.thresholds, old.thresholds, rtol=0.0, atol=1e-12)
 
 
 def test_principal_thresholds_validation():
