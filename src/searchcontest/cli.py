@@ -191,6 +191,8 @@ def _cmd_hetero(args):
             "thresholds": sol.thresholds,
             "prize": sol.prize,
             "implied_prize_spread": sol.spread,
+            "sweeps": sol.sweeps,
+            "newton_steps": sol.newton_steps,
         }
     rows = [{"agent": i, "q": q, "threshold": float(c)}
             for i, (q, c) in enumerate(zip(q_vec, tv.thresholds))]

@@ -20,10 +20,13 @@ and g_k = w_k (t_k - 1) exp(column sum k), of rank K off the diagonal.
 Equilibria come from Gauss-Seidel, then chord-Newton. Sweeps of the best
 responses c_i = V psi_i, which keep the column sums current, carry the
 cutoffs near the equilibrium; Newton steps on that Jacobian, factored
-once, finish them. The designer's system is swept alone: with the other
-cutoffs fixed, the designer's objective in c_i is (K_i - c) F(c) with
-K_i = W q_i prod_{j != i} (1 - pi_j), the single-prize designer problem
-with one sure finder.
+once, finish them. The designer's system is solved the same way: with the
+other cutoffs fixed, the designer's objective in c_i is (K_i - c) F(c)
+with K_i = W q_i prod_{j != i} (1 - pi_j), the single-prize designer
+problem with one sure finder, so agent i's step is c_i = B(K_i) for the
+exact maximizer B. Since d K_i / d c_j = -K_i v_j with
+v_j = q_j f(c_j) / (1 - pi_j), that system's Jacobian is a diagonal plus a
+rank-1 term, and each Newton step costs O(n).
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -34,6 +37,7 @@ preimages; on power laws it is sampled on a grid and marked uncertified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,10 +104,14 @@ def _find_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
     return np.asarray(contest.q_values) * np.array([contest.dist.cdf(float(t)) for t in c])
 
 
+@functools.lru_cache(maxsize=8)
 def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree n - 1."""
+    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree n - 1.
+    Built once per field size; the arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n // 2 + 1)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _log_factors(pi, t: np.ndarray) -> np.ndarray:
@@ -227,20 +235,19 @@ def _chord_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w)
     with one Jacobian, J = diag(D) - P diag(g) R^T (share_jacobian, rows
     of I, V in P), taken at the start. Woodbury reduces J^-1 to the K x K
     capacitance matrix I - diag(g) R^T diag(D)^-1 P, inverted once, so a
-    step costs O(nK). A step is kept only if no agent changes clamp side,
-    every cutoff stays in the support and max |r| at least halves; c and
-    rows then move to it. Returns the kept steps and whether max |r| fell
-    below SWEEP_TOL.
+    step costs O(nK). _chord_steps keeps or refuses each step; c and rows
+    end at the last kept one. Returns the kept steps and whether max |r|
+    fell below SWEEP_TOL.
     """
     lo, hi = contest.dist.support()
     q = np.asarray(contest.q_values)
 
     def image(rows):
         target = contest.V * _shares(q, rows, w)
-        return target, np.digitize(target, (lo, hi), right=True)  # 1 = interior
+        return np.clip(target, lo, hi), np.digitize(target, (lo, hi), right=True), rows
 
-    target, side = image(rows)
-    inner = side == 1
+    start = image(rows)
+    inner = start[1] == 1  # interior agents
     if not np.all((lo < c[inner]) & (c[inner] < hi)):
         return 0, False
     s = np.array([contest.dist.pdf(float(x)) for x in c[inner]]) / contest.V  # R = s P
@@ -254,32 +261,57 @@ def _chord_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w)
         cap_inv = np.linalg.inv(cap)
     except np.linalg.LinAlgError:
         return 0, False
-    resid = float(np.max(np.abs(c - np.clip(target, lo, hi))))
+
+    def step(c, img):
+        y = (c[inner] - img[inner]) / D
+        trial = img.copy()
+        trial[inner] = c[inner] - y - (P @ (cap_inv @ (g * (P.T @ (s * y))))) / D
+        return trial
+
+    def trial_image(c):
+        return image(_log_factors(_find_probabilities(contest, c), t))
+
+    steps, done, rows[:] = _chord_steps(c, start, trial_image, step, lo, hi)
+    return steps, done
+
+
+def _chord_steps(c: np.ndarray, start, image, step, lo: float, hi: float):
+    """Chord-Newton steps c <- step(c, img) on r(c) = c - img, where
+    image(c) returns (img, side, data): c's exact image, each agent's clamp
+    side and what the caller keeps with c; start is image(c). A step is
+    kept only if it stays in [lo, hi], no agent changes clamp side and
+    max |r| at least halves; c then moves to it. Returns the kept steps,
+    whether max |r| fell below SWEEP_TOL, and the data of the final c.
+    """
+    img, side, data = start
+    resid = float(np.max(np.abs(c - img)))
     steps = 0
     while resid >= SWEEP_TOL:
         with np.errstate(all="ignore"):
-            y = (c[inner] - target[inner]) / D
-            trial = np.clip(target, lo, hi)
-            trial[inner] = c[inner] - y - (P @ (cap_inv @ (g * (P.T @ (s * y))))) / D
+            trial = step(c, img)
         if not np.all((lo <= trial) & (trial <= hi)):
-            return steps, False
-        trial_rows = _log_factors(_find_probabilities(contest, trial), t)
-        trial_target, trial_side = image(trial_rows)
-        trial_resid = float(np.max(np.abs(trial - np.clip(trial_target, lo, hi))))
+            return steps, False, data
+        trial_img, trial_side, trial_data = image(trial)
+        trial_resid = float(np.max(np.abs(trial - trial_img)))
         if not (np.array_equal(trial_side, side) and trial_resid <= 0.5 * resid):
-            return steps, False
-        c[:], rows[:], target, resid = trial, trial_rows, trial_target, trial_resid
+            return steps, False, data
+        c[:], img, data, resid = trial, trial_img, trial_data, trial_resid
         steps += 1
-    return steps, True
+    return steps, True, data
 
 
 def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVector:
-    """Designer's cutoff system, solved by Gauss-Seidel from the equilibrium.
+    """Designer's cutoff system by Gauss-Seidel from the equilibrium, then
+    chord-Newton.
 
     With the other cutoffs fixed, the designer's objective in c_i is
     (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - q_j F(c_j)), so each
     step is the exact single-prize designer maximizer with one sure finder,
-    ``principal._best_cutoff``, which holds on any cost law.
+    ``principal._best_cutoff``, which holds on any cost law. Once the
+    sweeps are near the fixed point (see POLISH_MOVE), Newton steps on the
+    system's diagonal-plus-rank-1 Jacobian finish it (_designer_newton); if
+    one is refused, the sweeps go on and finish alone, so the sweeps pick
+    the fixed point.
     """
     check_positive("W", W)
     d = contest.dist
@@ -287,14 +319,73 @@ def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVec
     q = np.asarray(contest.q_values)
     c = solve_thresholds(contest).thresholds
     miss = 1.0 - _find_probabilities(contest, c)
+    stakes = np.full(contest.n, np.nan)  # K_i at agent i's last step
+    moves = np.zeros((2, contest.n))  # that step's change in K_i and in c_i
 
     def best_response(i: int) -> float:
         K = W * q[i] * float(np.prod(miss[:i]) * np.prod(miss[i + 1:]))
         c_i = _best_cutoff(d, 1.0, 1.0, K, lo, hi)
+        moves[:, i] = K - stakes[i], c_i - c[i]
+        stakes[i] = K
         miss[i] = 1.0 - q[i] * d.cdf(c_i)
         return c_i
 
-    return _gauss_seidel(c, best_response)
+    def polish():
+        steps, done, miss[:] = _designer_newton(d, q, W, c, *moves)
+        return steps, done
+
+    return _gauss_seidel(c, best_response, None if contest.n > POLISH_MAX_N else polish)
+
+
+def _designer_newton(d: CostDistribution, q: np.ndarray, W: float, c: np.ndarray, dK, dc):
+    """Newton steps on r(c) = c - B(K(c)), B = principal._best_cutoff, with
+    one Jacobian taken at the start:
+
+        J = diag(1 - b K v) + (b K) v^T,  v_j = q_j f(c_j) / x_j,
+
+    where x_j = 1 - q_j F(c_j) and b_i = dB/dK is the secant dc_i / dK_i
+    over agent i's last sweep step (exact where B is affine: slope 1/2 on
+    uniform and piecewise-linear laws, alpha / (alpha + 1) on a power law)
+    and 0 for a clamped agent. Sherman-Morrison solves J in O(n).
+    _chord_steps keeps or refuses each step. Returns the kept steps,
+    whether max |r| fell below SWEEP_TOL, and x at the final c.
+    """
+    lo, hi = d.support()
+
+    def image(c):
+        x = 1.0 - q * np.array([d.cdf(float(t)) for t in c])
+        K = W * q * _leave_one_out_products(x)
+        img = np.array([_best_cutoff(d, 1.0, 1.0, float(k), lo, hi) for k in K])
+        return img, np.sign(img - lo) + np.sign(img - hi), x  # side 0 = interior
+
+    start = image(c)
+    img, side, x = start
+    if not np.all(x > 0.0):
+        return 0, False, x
+    with np.errstate(all="ignore"):  # a bad factor fails the check below
+        b = np.where(side == 0, dc / dK, 0.0)  # NaN until an agent's second step
+        v = q * np.array([d.pdf(float(t)) for t in c]) / x
+        u = b * W * q * _leave_one_out_products(x)  # b K
+        D = 1.0 - u * v
+        u /= D
+        scale = 1.0 + v @ u
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and math.isfinite(scale)
+            and scale != 0.0):
+        return 0, False, x
+
+    def step(c, img):
+        z = (c - img) / D
+        return c - z + u * ((v @ z) / scale)
+
+    return _chord_steps(c, start, image, step, lo, hi)
+
+
+def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
+    """prod_{j != i} x_j for every i, from prefix and suffix products."""
+    out = np.ones_like(x)
+    out[1:] = np.cumprod(x[:-1])
+    out[:-1] *= np.cumprod(x[:0:-1])[::-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -304,6 +395,7 @@ class HeteroPrizeSolution:
     implied_prizes: np.ndarray  # c_i / psi_i, per agent
     spread: float
     sweeps: int
+    newton_steps: int = 0
 
 
 def solve_principal_hetero(contest: HeteroContest, W: float) -> HeteroPrizeSolution:
@@ -335,6 +427,7 @@ def solve_principal_hetero(contest: HeteroContest, W: float) -> HeteroPrizeSolut
         implied_prizes=implied,
         spread=spread,
         sweeps=sol.sweeps,
+        newton_steps=sol.newton_steps,
     )
 
 

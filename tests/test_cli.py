@@ -357,7 +357,9 @@ SCHEMAS = {
                ["threshold", "crowd_success_prob", "total_success_prob", "win_prob",
                 "interior", "critical_expertise", "mode"], None),
     "hetero": (["hetero", "--dist", U01, "--qvec", "[0.5,0.5,0.5]", "--V", "1", "--W", "2"],
-               ["thresholds", "success_prob", "sweeps", "newton_steps", "converged", "principal"],
+               ["thresholds", "success_prob", "sweeps", "newton_steps", "converged",
+                {"principal": ["thresholds", "prize", "implied_prize_spread", "sweeps",
+                               "newton_steps"]}],
                ["agent", "q", "threshold"]),
     "asymptotics": (["asymptotics", "--dist", UQ, "--q", "0.5", "--V", "1", "--W", "2",
                      "--rate", "gap"],
@@ -369,13 +371,20 @@ SCHEMAS = {
 }
 
 
+def record_keys(results, keys):
+    """The results' keys in order, a block listed in keys as {name: its
+    keys} with its own keys."""
+    blocks = {name for k in keys if isinstance(k, dict) for name in k}
+    return [{k: list(v)} if k in blocks else k for k, v in results.items()]
+
+
 @pytest.mark.parametrize("name", SCHEMAS)
 def test_record_schema(capsys, name):
     # The CSV header is the results' keys unless the rows differ from it.
     argv, keys, header = SCHEMAS[name]
     code, rec = run_json(capsys, argv)
     assert code == 0
-    assert list(rec["results"]) == keys
+    assert record_keys(rec["results"], keys) == keys
     code, out = run_cli(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert out.splitlines()[0].split(",") == (keys if header is None else header)

@@ -82,6 +82,20 @@ def seeded_crowds(count, seed):
         yield HeteroContest(tuple(q), float(rng.uniform(0.3, 3.0)), d)
 
 
+def seeded_designer_crowds(count, seed):
+    """(contest, W) pairs: crowds of 2..60 agents on U[0, 1], U[0.2, 1.3], a
+    power law with alpha in [0.5, 6], KINKED or BUMPY, with V in [0.3, 3],
+    W in [0.5, 5] and about one sure finder in ten."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 61))
+        d = (U01, Uniform(0.2, 1.3), PowerLaw(float(rng.uniform(0.5, 6.0))), KINKED,
+             BUMPY)[rng.integers(5)]
+        q = rng.uniform(0.05, 1.0, n)
+        q[rng.random(n) < 0.1] = 1.0
+        yield HeteroContest(tuple(q), float(rng.uniform(0.3, 3.0)), d), float(rng.uniform(0.5, 5.0))
+
+
 def share_by_convolution(pi, i):
     """E[1/(T_i+1)] from the convolution pmf of every agent but i."""
     pmf = oracles.poisson_binomial_pmf(np.delete(pi, i))
@@ -366,6 +380,56 @@ def test_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatch):
     np.testing.assert_array_equal(alone.thresholds, c)
 
 
+def test_quadrature_rule_is_built_once_per_field_size(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda k: calls.append(k) or leggauss(k))
+    hetero._quadrature.cache_clear()
+    contest = HeteroContest((0.9, 0.6, 0.3, 0.5, 0.2, 0.7, 0.4), 1.0, U01)
+    first, second = solve_thresholds(contest), solve_thresholds(contest)
+    assert calls == [4]
+    np.testing.assert_array_equal(first.thresholds, second.thresholds)
+    for a in hetero._quadrature(contest.n):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
+@pytest.mark.parametrize("system", ["equilibrium", "designer"])
+def test_chord_step_that_moves_an_image_to_the_clamp_is_refused(monkeypatch, system):
+    # From these hand-built starts every agent is interior, and the first
+    # chord step stays in the support and halves max |r|, but puts agent
+    # 2's image at the top of the support: the step must be refused.
+    seen = {}
+    chord_steps = hetero._chord_steps
+
+    def spy(c, start, image, step, lo, hi):
+        seen.update(c=c.copy(), start=start, image=image, step=step)
+        return chord_steps(c, start, image, step, lo, hi)
+
+    monkeypatch.setattr(hetero, "_chord_steps", spy)
+    if system == "equilibrium":
+        contest = HeteroContest((0.44, 0.31, 0.86), 1.31, U01)
+        c = np.array([0.66, 0.97, 0.59])
+        t, w = hetero._quadrature(contest.n)
+        rows = hetero._log_factors(hetero._find_probabilities(contest, c), t)
+        steps, done = hetero._chord_newton(contest, c, rows, t, w)
+    else:  # secant slope 1/2, exact on U[0, 1]
+        c = np.array([0.49, 0.76, 0.71])
+        steps, done, _ = hetero._designer_newton(U01, np.array([0.39, 0.82, 0.99]), 2.42, c,
+                                                 np.ones(3), np.full(3, 0.5))
+    img, side, _ = seen["start"]
+    trial = seen["step"](seen["c"], img)
+    trial_img, trial_side, _ = seen["image"](trial)
+    assert np.all((0.0 <= trial) & (trial <= 1.0))
+    assert np.max(np.abs(trial - trial_img)) <= 0.5 * np.max(np.abs(seen["c"] - img))
+    assert np.all(img < 1.0) and trial_img[2] == 1.0
+    assert list(trial_side == side) == [True, True, False]
+    assert (steps, done) == (0, False)
+    np.testing.assert_array_equal(c, seen["c"])
+
+
 # ---------------------------------------------------------- designer solve
 
 
@@ -392,6 +456,60 @@ def test_principal_thresholds_are_unchanged_by_the_polish(monkeypatch):
         old = solve_principal_thresholds(contest, W=2.0)
         assert sol.converged == old.converged
         np.testing.assert_allclose(sol.thresholds, old.thresholds, rtol=0.0, atol=1e-12)
+
+
+def test_principal_thresholds_match_gauss_seidel_on_seeded_crowds():
+    polished = 0
+    for contest, W in seeded_designer_crowds(300, 23):
+        sol = solve_principal_thresholds(contest, W)
+        c, converged, sweeps = oracles.gauss_seidel_principal(contest, W)
+        assert sol.converged == converged
+        np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
+        assert sol.sweeps <= sweeps
+        polished += sol.newton_steps > 0
+    assert polished >= 250
+
+
+@pytest.mark.parametrize(
+    "q,d,V,W",
+    [((0.95, 1.0), FLAT_TOP, 1.0, 2.39), ((0.089, 0.194, 0.891, 0.062, 0.946), U01, 2.5, 2.64)],
+    ids=["flat-top", "uniform"],
+)
+def test_principal_thresholds_keep_the_sweeps_fixed_point(q, d, V, W):
+    # Several coordinate-wise fixed points: the sweeps in input order and
+    # in falling-q order reach different ones, and the polish keeps each.
+    found = []
+    for order in (np.arange(len(q)), np.argsort(q)[::-1]):
+        contest = HeteroContest(tuple(np.asarray(q)[order]), V, d)
+        sol = solve_principal_thresholds(contest, W)
+        c, converged, _ = oracles.gauss_seidel_principal(contest, W)
+        assert sol.converged and converged
+        np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
+        found.append(sol.thresholds[np.argsort(order)])
+    assert np.max(np.abs(found[0] - found[1])) > 0.1
+
+
+def test_principal_polish_residual_is_below_the_sweep_tolerance():
+    rng = np.random.default_rng(7)
+    q = rng.permutation(0.2 + 0.7 * (np.arange(50) + rng.random(50)) / 50)
+    contest = HeteroContest(tuple(q), 1.0, U01)
+    sol = solve_principal_thresholds(contest, W=2.0)
+    assert sol.converged and sol.newton_steps > 0
+    c = sol.thresholds
+    log_miss = np.log1p(-q * c)
+    K = 2.0 * q * np.exp(np.sum(log_miss) - log_miss)
+    assert np.max(np.abs(c - np.clip(0.5 * K, 0.0, 1.0))) < SWEEP_TOL
+
+
+def test_principal_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatch):
+    contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
+    assert solve_principal_thresholds(contest, W=2.0).newton_steps > 0
+    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
+    alone = solve_principal_thresholds(contest, W=2.0)
+    c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0)
+    assert alone.converged and converged
+    assert alone.newton_steps == 0 and alone.sweeps == sweeps
+    np.testing.assert_array_equal(alone.thresholds, c)
 
 
 def test_principal_thresholds_validation():
