@@ -129,11 +129,12 @@ class PowerLaw(CostDistribution):
 
     def pdf(self, c: float) -> float:
         self._check_in_support(c)
-        # alpha < 1 diverges at 0; callers only evaluate interior points.
         try:
             return self.alpha * c ** (self.alpha - 1.0)
         except OverflowError:  # c^(alpha - 1) past the largest double; the density need not be
             return self.alpha * c**self.alpha / c
+        except ZeroDivisionError:  # alpha < 1 diverges at 0
+            return math.inf
 
     def reverse_hazard(self, c: float) -> float:
         if self.cdf(c) == 0.0:

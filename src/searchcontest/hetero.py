@@ -26,7 +26,11 @@ with K_i = W q_i prod_{j != i} (1 - pi_j), the single-prize designer
 problem with one sure finder, so agent i's step is c_i = B(K_i) for the
 exact maximizer B. Since d K_i / d c_j = -K_i v_j with
 v_j = q_j f(c_j) / (1 - pi_j), that system's Jacobian is a diagonal plus a
-rank-1 term, and each Newton step costs O(n).
+rank-1 term. One routine, _chord_newton, takes both Jacobians as a
+diagonal plus U diag(g) R^T and inverts Woodbury's k x k matrix once:
+k = K for the equilibrium, whose O(nK^2) factor is why only its polish
+stops at POLISH_MAX_N agents, and k = 1 for the designer, whose factor and
+steps cost O(n) at any field size.
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -54,9 +58,10 @@ from .principal import _best_cutoff
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
 # Sweeps hand over to chord-Newton once a sweep moves no cutoff by
-# POLISH_MOVE and contracts by POLISH_RATIO or faster, in fields of up to
-# POLISH_MAX_N agents; past that the O(nK^2) factor costs more than the
-# sweeps it saves.
+# POLISH_MOVE and contracts by POLISH_RATIO or faster. The equilibrium's
+# polish runs in fields of up to POLISH_MAX_N agents, because its O(nK^2)
+# factor outgrows the sweeps it saves. The designer's O(n) polish has no
+# size gate.
 POLISH_MOVE = 1e-3
 POLISH_RATIO = 0.95
 POLISH_MAX_N = 2000
@@ -226,18 +231,17 @@ def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
         cols += rows[i]
         return c_i
 
-    polish = None if contest.n > POLISH_MAX_N else lambda: _chord_newton(contest, c, rows, t, w)
-    return _gauss_seidel(c, best_response, polish)
+    polish = functools.partial(_equilibrium_newton, contest, c, rows, t, w)
+    return _gauss_seidel(c, best_response, None if contest.n > POLISH_MAX_N else polish)
 
 
-def _chord_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w):
-    """Newton steps on r(c) = c - clamp(V psi(c)) for the interior agents I,
-    with one Jacobian, J = diag(D) - P diag(g) R^T (share_jacobian, rows
-    of I, V in P), taken at the start. Woodbury reduces J^-1 to the K x K
-    capacitance matrix I - diag(g) R^T diag(D)^-1 P, inverted once, so a
-    step costs O(nK). _chord_steps keeps or refuses each step; c and rows
-    end at the last kept one. Returns the kept steps and whether max |r|
-    fell below SWEEP_TOL.
+def _equilibrium_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w):
+    """Chord-Newton on r(c) = c - clamp(V psi(c)). An interior agent's row
+    of r's Jacobian is e_i - V times its row of share_jacobian; a clamped
+    agent's is e_i. So J = diag(D) + U diag(g) R^T with U = -V P and R of
+    share_jacobian, both zero on clamped agents, and D = 1 - diag(U g R^T).
+    c and rows end at the last kept step. Returns the kept steps and
+    whether max |r| fell below SWEEP_TOL.
     """
     lo, hi = contest.dist.support()
     q = np.asarray(contest.q_values)
@@ -250,45 +254,44 @@ def _chord_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w)
     inner = start[1] == 1  # interior agents
     if not np.all((lo < c[inner]) & (c[inner] < hi)):
         return 0, False
-    s = np.array([contest.dist.pdf(float(x)) for x in c[inner]]) / contest.V  # R = s P
-    P, g = _jacobian_factors(contest.V * q[inner], rows[inner], rows.sum(axis=0), t, w)
-    with np.errstate(all="ignore"):  # a bad factor fails the checks below
-        D = 1.0 + s * np.einsum("ik,ik,k->i", P, P, g)
-        cap = np.eye(g.size) - g[:, None] * ((P * (s / D)[:, None]).T @ P)
-    if not (np.all(np.isfinite(cap)) and np.all(D != 0.0)):
-        return 0, False
-    try:
-        cap_inv = np.linalg.inv(cap)
-    except np.linalg.LinAlgError:
-        return 0, False
-
-    def step(c, img):
-        y = (c[inner] - img[inner]) / D
-        trial = img.copy()
-        trial[inner] = c[inner] - y - (P @ (cap_inv @ (g * (P.T @ (s * y))))) / D
-        return trial
-
-    def trial_image(c):
-        return image(_log_factors(_find_probabilities(contest, c), t))
-
-    steps, done, rows[:] = _chord_steps(c, start, trial_image, step, lo, hi)
+    U, g = _jacobian_factors(np.where(inner, -contest.V * q, 0.0), rows, rows.sum(axis=0), t, w)
+    s = np.zeros(contest.n)  # R = s U
+    s[inner] = [-contest.dist.pdf(float(x)) / contest.V for x in c[inner]]
+    with np.errstate(all="ignore"):  # a bad factor fails _chord_newton's check
+        R = U * s[:, None]
+        D = 1.0 - np.einsum("ik,k,ik->i", U, g, R)
+    steps, done, rows[:] = _chord_newton(
+        c, start, lambda c: image(_log_factors(_find_probabilities(contest, c), t)),
+        D, U, g, R, lo, hi)
     return steps, done
 
 
-def _chord_steps(c: np.ndarray, start, image, step, lo: float, hi: float):
-    """Chord-Newton steps c <- step(c, img) on r(c) = c - img, where
-    image(c) returns (img, side, data): c's exact image, each agent's clamp
-    side and what the caller keeps with c; start is image(c). A step is
-    kept only if it stays in [lo, hi], no agent changes clamp side and
-    max |r| at least halves; c then moves to it. Returns the kept steps,
-    whether max |r| fell below SWEEP_TOL, and the data of the final c.
+def _chord_newton(c: np.ndarray, start, image, D, U, g, R, lo: float, hi: float):
+    """Chord-Newton steps on r(c) = c - img with one Jacobian,
+    J = diag(D) + U diag(g) R^T for n x k factors U and R, taken at the
+    start. image(c) returns (img, side, data): c's exact image, each agent's
+    clamp side and what the caller keeps with c; start is image(c).
+    Woodbury reduces J^-1 to the k x k matrix I + diag(g) R^T diag(D)^-1 U,
+    inverted once, so a step costs O(nk). A step is kept only if it stays
+    in [lo, hi], no agent changes clamp side and max |r| at least halves;
+    c then moves to it. Returns the kept steps, whether max |r| fell below
+    SWEEP_TOL, and the data of the final c.
     """
     img, side, data = start
+    with np.errstate(all="ignore"):  # a bad factor fails the check below
+        M = np.eye(g.size) + g[:, None] * (R.T @ (U / D[:, None]))
+    if not (np.all(np.isfinite(M)) and np.all(D != 0.0)):
+        return 0, False, data
+    try:
+        M_inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return 0, False, data
     resid = float(np.max(np.abs(c - img)))
     steps = 0
     while resid >= SWEEP_TOL:
         with np.errstate(all="ignore"):
-            trial = step(c, img)
+            y = (c - img) / D
+            trial = c - y + (U @ (M_inv @ (g * (R.T @ y)))) / D
         if not np.all((lo <= trial) & (trial <= hi)):
             return steps, False, data
         trial_img, trial_side, trial_data = image(trial)
@@ -309,9 +312,9 @@ def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVec
     step is the exact single-prize designer maximizer with one sure finder,
     ``principal._best_cutoff``, which holds on any cost law. Once the
     sweeps are near the fixed point (see POLISH_MOVE), Newton steps on the
-    system's diagonal-plus-rank-1 Jacobian finish it (_designer_newton); if
-    one is refused, the sweeps go on and finish alone, so the sweeps pick
-    the fixed point.
+    system's diagonal-plus-rank-1 Jacobian finish it (_designer_newton), at
+    O(n) a step and at any field size; if one is refused, the sweeps go on
+    and finish alone, so the sweeps pick the fixed point.
     """
     check_positive("W", W)
     d = contest.dist
@@ -334,21 +337,20 @@ def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVec
         steps, done, miss[:] = _designer_newton(d, q, W, c, *moves)
         return steps, done
 
-    return _gauss_seidel(c, best_response, None if contest.n > POLISH_MAX_N else polish)
+    return _gauss_seidel(c, best_response, polish)
 
 
 def _designer_newton(d: CostDistribution, q: np.ndarray, W: float, c: np.ndarray, dK, dc):
-    """Newton steps on r(c) = c - B(K(c)), B = principal._best_cutoff, with
-    one Jacobian taken at the start:
+    """Chord-Newton on r(c) = c - B(K(c)), B = principal._best_cutoff, with
+    the Jacobian
 
         J = diag(1 - b K v) + (b K) v^T,  v_j = q_j f(c_j) / x_j,
 
     where x_j = 1 - q_j F(c_j) and b_i = dB/dK is the secant dc_i / dK_i
     over agent i's last sweep step (exact where B is affine: slope 1/2 on
     uniform and piecewise-linear laws, alpha / (alpha + 1) on a power law)
-    and 0 for a clamped agent. Sherman-Morrison solves J in O(n).
-    _chord_steps keeps or refuses each step. Returns the kept steps,
-    whether max |r| fell below SWEEP_TOL, and x at the final c.
+    and 0 for a clamped agent: _chord_newton's rank-1 case. Returns the
+    kept steps, whether max |r| fell below SWEEP_TOL, and x at the final c.
     """
     lo, hi = d.support()
 
@@ -362,22 +364,12 @@ def _designer_newton(d: CostDistribution, q: np.ndarray, W: float, c: np.ndarray
     img, side, x = start
     if not np.all(x > 0.0):
         return 0, False, x
-    with np.errstate(all="ignore"):  # a bad factor fails the check below
+    with np.errstate(all="ignore"):  # a bad factor fails _chord_newton's check
         b = np.where(side == 0, dc / dK, 0.0)  # NaN until an agent's second step
         v = q * np.array([d.pdf(float(t)) for t in c]) / x
         u = b * W * q * _leave_one_out_products(x)  # b K
         D = 1.0 - u * v
-        u /= D
-        scale = 1.0 + v @ u
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and math.isfinite(scale)
-            and scale != 0.0):
-        return 0, False, x
-
-    def step(c, img):
-        z = (c - img) / D
-        return c - z + u * ((v @ z) / scale)
-
-    return _chord_steps(c, start, image, step, lo, hi)
+    return _chord_newton(c, start, image, D, u[:, None], np.ones(1), v[:, None], lo, hi)
 
 
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:

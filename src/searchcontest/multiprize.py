@@ -276,7 +276,6 @@ class StructureSolution:
     regime: str  # "equal-split" | "interior-mix" | "winner-takes-all"
     value: float
     stakes_window: tuple[float, float]
-    certified: bool  # always True: the target cutoff is an exact maximum
 
 
 def optimal_prize_structure(
@@ -325,5 +324,4 @@ def optimal_prize_structure(
         regime=regime,
         value=W * prob_any(q * F, n) - n * F * (weight * wta + (1.0 - weight) * split),
         stakes_window=window,
-        certified=True,
     )

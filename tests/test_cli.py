@@ -145,7 +145,7 @@ def test_prize_structure_at_a_tiny_find_probability(capsys):
     argv = ["prize-structure", "--dist", U01, "--q", "1e-154", "--n", "2", "--W", "1", "--V", "1"]
     code, rec = run_json(capsys, argv)
     assert code == 0
-    assert rec["results"]["certified"] is True
+    assert rec["results"]["regime"] == "equal-split"
 
 
 def test_prize_structure_on_a_zero_density_stretch(capsys):
@@ -352,7 +352,7 @@ SCHEMAS = {
     "prize-structure": (["prize-structure", "--dist", U01, "--q", "1", "--n", "2",
                          "--W", "3", "--V", "1"],
                         ["threshold", "top_prize", "other_prize", "mix_weight", "regime",
-                         "value", "stakes_window", "certified"], None),
+                         "value", "stakes_window"], None),
     "expert": (["expert", "--dist", U01, "--q", "0.5", "--qe", "0.3", "--n", "3", "--V", "1"],
                ["threshold", "crowd_success_prob", "total_success_prob", "win_prob",
                 "interior", "critical_expertise", "mode"], None),
@@ -486,7 +486,6 @@ def test_prize_structure_solves_a_field_of_any_size(capsys):
     code, rec = run_json(capsys, argv)
     assert code == 0
     res = rec["results"]
-    assert res["certified"] is True
     assert 0.0 < res["threshold"] < 1.0
     assert res["top_prize"] >= res["other_prize"] >= 0.0
 

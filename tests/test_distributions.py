@@ -99,6 +99,13 @@ def test_power_law_density_is_unchanged_where_the_power_is_finite():
         assert d.pdf(c) == 1e-3 * c ** (1e-3 - 1.0)
 
 
+def test_power_law_density_at_zero():
+    # The limit of alpha c^(alpha - 1) as c falls to 0.
+    assert PowerLaw(0.5).pdf(0.0) == math.inf
+    assert PowerLaw(1.0).pdf(0.0) == 1.0
+    assert PowerLaw(3.0).pdf(0.0) == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.0, -2.0, math.inf, math.nan])
 def test_power_law_rejects_bad_alpha(alpha):
     with pytest.raises(InputError):

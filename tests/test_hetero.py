@@ -249,6 +249,17 @@ def test_share_jacobian_matches_exact_rationals(q, c):
                                rtol=1e-13, atol=1e-16)
 
 
+def test_share_jacobian_at_a_zero_cutoff_on_a_diverging_density():
+    # PowerLaw(1/2) has f(0) = inf: agent 0's column is -inf, agent 1's finite.
+    contest = HeteroContest((0.5, 0.5), 1.0, PowerLaw(0.5))
+    P, g, R = share_jacobian(contest, np.array([0.0, 0.3]))
+    assert np.all(np.isfinite(P)) and np.all(np.isfinite(g)) and np.all(np.isfinite(R[1]))
+    assert np.all(R[0] == math.inf)
+    # psi_0 = q_0 (1 - q_1 F(c_1) / 2), so d psi_0 / d c_1 = -q_0 q_1 f(c_1) / 2.
+    assert float((P[0] * g) @ R[1]) == pytest.approx(-0.25 * 0.5 * 0.3**-0.5 / 2, rel=1e-13)
+    assert float((P[1] * g) @ R[0]) == -math.inf
+
+
 # -------------------------------------------------------------- the contest
 
 
@@ -396,38 +407,74 @@ def test_quadrature_rule_is_built_once_per_field_size(monkeypatch):
             a[0] = 0.5
 
 
+def spy_chord_newton(monkeypatch):
+    """Record each _chord_newton call: its c, start and factors, and the
+    (argument, result) of every image call it makes after start; the first
+    of these receives the first trial step."""
+    calls = []
+    chord_newton = hetero._chord_newton
+
+    def spy(c, start, image, *factors):
+        images = []
+        calls.append(dict(c=c.copy(), start=start, factors=factors, images=images))
+
+        def traced(trial):
+            out = image(trial)
+            images.append((trial.copy(), out))
+            return out
+
+        return chord_newton(c, start, traced, *factors)
+
+    monkeypatch.setattr(hetero, "_chord_newton", spy)
+    return calls
+
+
 @pytest.mark.parametrize("system", ["equilibrium", "designer"])
 def test_chord_step_that_moves_an_image_to_the_clamp_is_refused(monkeypatch, system):
     # From these hand-built starts every agent is interior, and the first
     # chord step stays in the support and halves max |r|, but puts agent
     # 2's image at the top of the support: the step must be refused.
-    seen = {}
-    chord_steps = hetero._chord_steps
-
-    def spy(c, start, image, step, lo, hi):
-        seen.update(c=c.copy(), start=start, image=image, step=step)
-        return chord_steps(c, start, image, step, lo, hi)
-
-    monkeypatch.setattr(hetero, "_chord_steps", spy)
+    calls = spy_chord_newton(monkeypatch)
     if system == "equilibrium":
         contest = HeteroContest((0.44, 0.31, 0.86), 1.31, U01)
         c = np.array([0.66, 0.97, 0.59])
         t, w = hetero._quadrature(contest.n)
         rows = hetero._log_factors(hetero._find_probabilities(contest, c), t)
-        steps, done = hetero._chord_newton(contest, c, rows, t, w)
+        steps, done = hetero._equilibrium_newton(contest, c, rows, t, w)
     else:  # secant slope 1/2, exact on U[0, 1]
         c = np.array([0.49, 0.76, 0.71])
         steps, done, _ = hetero._designer_newton(U01, np.array([0.39, 0.82, 0.99]), 2.42, c,
                                                  np.ones(3), np.full(3, 0.5))
-    img, side, _ = seen["start"]
-    trial = seen["step"](seen["c"], img)
-    trial_img, trial_side, _ = seen["image"](trial)
+    (call,) = calls
+    img, side, _ = call["start"]
+    (trial, (trial_img, trial_side, _)), = call["images"]
     assert np.all((0.0 <= trial) & (trial <= 1.0))
-    assert np.max(np.abs(trial - trial_img)) <= 0.5 * np.max(np.abs(seen["c"] - img))
+    assert np.max(np.abs(trial - trial_img)) <= 0.5 * np.max(np.abs(call["c"] - img))
     assert np.all(img < 1.0) and trial_img[2] == 1.0
     assert list(trial_side == side) == [True, True, False]
     assert (steps, done) == (0, False)
-    np.testing.assert_array_equal(c, seen["c"])
+    np.testing.assert_array_equal(c, call["c"])
+
+
+@pytest.mark.parametrize("system,rank", [("equilibrium", 3), ("designer", 1)])
+def test_chord_newton_step_is_the_dense_newton_step(monkeypatch, system, rank):
+    # The Woodbury step must be c - J^-1 (c - img) for the dense
+    # J = diag(D) + U diag(g) R^T built from the same factors.
+    calls = spy_chord_newton(monkeypatch)
+    contest = HeteroContest((0.9, 0.7, 0.5, 0.3, 0.2), 1.0, U01)
+    if system == "equilibrium":
+        sol = solve_thresholds(contest)
+    else:
+        sol = solve_principal_thresholds(contest, W=2.0)
+        assert len(calls) == 2  # the equilibrium's polish, then the designer's
+    assert sol.converged and sol.newton_steps > 0
+    call = calls[-1]
+    D, U, g, R, _, _ = call["factors"]
+    assert U.shape == R.shape == (contest.n, rank) and g.shape == (rank,)
+    J = np.diag(D) + U @ np.diag(g) @ R.T
+    c, img = call["c"], call["start"][0]
+    trial = call["images"][0][0]
+    np.testing.assert_allclose(trial, c - np.linalg.solve(J, c - img), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------- designer solve
@@ -504,12 +551,26 @@ def test_principal_polish_residual_is_below_the_sweep_tolerance():
 def test_principal_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatch):
     contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
     assert solve_principal_thresholds(contest, W=2.0).newton_steps > 0
-    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
+    # A refused polish: no step kept, and x = 1 - q F(c) at the unchanged c.
+    monkeypatch.setattr(hetero, "_designer_newton", lambda d, q, W, c, dK, dc: (
+        0, False, 1.0 - q * np.array([d.cdf(float(x)) for x in c])))
     alone = solve_principal_thresholds(contest, W=2.0)
     c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0)
     assert alone.converged and converged
     assert alone.newton_steps == 0 and alone.sweeps == sweeps
     np.testing.assert_array_equal(alone.thresholds, c)
+
+
+def test_size_gate_holds_back_the_equilibrium_polish_only(monkeypatch):
+    # The designer's factor costs O(n), so past POLISH_MAX_N it still polishes.
+    contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
+    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
+    assert solve_thresholds(contest).newton_steps == 0
+    sol = solve_principal_thresholds(contest, W=2.0)
+    c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0)
+    assert sol.converged and converged
+    assert sol.newton_steps > 0 and sol.sweeps < sweeps
+    np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
 
 
 def test_principal_thresholds_validation():

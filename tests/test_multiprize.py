@@ -339,7 +339,6 @@ def test_optimal_structure_equal_split_regime():
     assert sol.threshold == pytest.approx(0.5, abs=1e-9)
     assert sol.value == pytest.approx(1.0, abs=1e-9)
     assert sol.value >= 24.0 / 25.0 - 1e-9
-    assert sol.certified
 
 
 def test_optimal_structure_interior_mix_regime():
@@ -362,7 +361,6 @@ def test_optimal_structure_on_a_kinked_law():
     # is the kink c = 0.6, which falls between the points of the grid.
     d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.4), (0.6, 0.9), (1.0, 1.0)))
     sol = optimal_prize_structure(d, 0.5, 3, 8.0, 2.0)
-    assert sol.certified
     assert sol.regime == "interior-mix"
     assert abs(sol.threshold - 0.6) <= math.ulp(0.6)
     a, b = achievable_interval(d, 0.5, 3, 2.0)
@@ -473,7 +471,7 @@ def test_optimal_structure_builds_no_prize_vector(monkeypatch):
     monkeypatch.setattr(multiprize, "_binomial_pmf", fail)
     for d, q, n, W, V in _structure_problems(20, 30):
         optimal_prize_structure(d, q, n, W, V)
-    assert optimal_prize_structure(U01, 0.5, 10**12, 3.0, 1.0).certified
+    assert 0.0 < optimal_prize_structure(U01, 0.5, 10**12, 3.0, 1.0).threshold < 1.0
 
 
 def test_optimal_structure_validation():
