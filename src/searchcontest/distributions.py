@@ -3,9 +3,11 @@
 Three families cover everything the solvers need: uniform on [a, b], power
 law c^alpha on [0, 1], and piecewise-linear CDFs given by knot lists. Each
 exposes cdf, pdf, the reverse-hazard ratio F/f, and the support endpoints,
-plus two shape facts in closed form: the pieces on which F/f rises, and the
-maximum of c*f(c). Uniform and piecewise-linear laws also give the knots
-between which F is linear. ``distribution_from_spec`` builds each from its
+plus three shape facts in closed form: the pieces on which F/f rises, the
+maximum of c*f(c), and the stake cutoff, the maximizer of (K - c) F(c)
+that is the designer's best cutoff for one sure finder at stakes K.
+Uniform and piecewise-linear laws also give the knots between which F is
+linear. ``distribution_from_spec`` builds each from its
 JSON-dict spec form, as the CLI's ``--dist`` gives it.
 
 Every method takes and returns plain Python floats: the solvers evaluate
@@ -63,6 +65,13 @@ class CostDistribution:
         """Maximum of c*f(c) over the support."""
         raise NotImplementedError
 
+    def stake_cutoff(self, K: float) -> float:
+        """Lowest maximizer of (K - c) F(c) over the support: the
+        designer's best cutoff for one sure finder at stakes K. It is
+        affine in K on each piece, and the floor where K is at most the
+        cost at which F starts to rise."""
+        raise NotImplementedError
+
     def cdf_knots(self) -> tuple[tuple[float, float], ...] | None:
         """Knots (c_i, F_i) between which F is linear, or None where F is
         not piecewise linear."""
@@ -102,6 +111,9 @@ class Uniform(CostDistribution):
 
     def max_c_pdf(self) -> float:
         return self.b / (self.b - self.a)
+
+    def stake_cutoff(self, K: float) -> float:
+        return min(max(0.5 * (K + self.a), self.a), self.b)
 
     def cdf_knots(self) -> tuple[tuple[float, float], ...]:
         return ((self.a, 0.0), (self.b, 1.0))
@@ -146,6 +158,9 @@ class PowerLaw(CostDistribution):
 
     def max_c_pdf(self) -> float:
         return self.alpha  # c*f(c) = alpha * c^alpha, largest at c = 1
+
+    def stake_cutoff(self, K: float) -> float:
+        return min(max(self.alpha * K / (self.alpha + 1.0), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -222,6 +237,26 @@ class PiecewiseLinear(CostDistribution):
     def max_c_pdf(self) -> float:
         # c*f(c) rises across each segment, so its maximum sits at a right end.
         return max(c * s for c, s in zip(self._c[1:], self._slopes))
+
+    def stake_cutoff(self, K: float) -> float:
+        # (K - c) F(c) is a concave quadratic on each rising segment, with
+        # its vertex at (K + c_i - F_i / s_i) / 2; it falls across flat
+        # ones and is at most 0 from K on. So the floor, worth 0, is the
+        # maximizer if no segment rises below K, and is beaten otherwise,
+        # even where the gain rounds to 0. A later segment's clipped vertex
+        # replaces the best so far only if strictly better, so a tie keeps
+        # the lower cutoff.
+        best, best_value = self._c[0], -math.inf
+        for c0, c1, F0, s in zip(self._c, self._c[1:], self._F, self._slopes):
+            if c0 >= K:
+                break
+            if s <= 0.0:
+                continue
+            c = min(max(0.5 * (K + c0 - F0 / s), c0), c1)
+            value = (K - c) * (F0 + s * (c - c0))
+            if value > best_value:
+                best, best_value = c, value
+        return best
 
     def cdf_knots(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self._c, self._F))

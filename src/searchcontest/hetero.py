@@ -23,14 +23,15 @@ cutoffs near the equilibrium; Newton steps on that Jacobian, factored
 once, finish them. The designer's system is solved the same way: with the
 other cutoffs fixed, the designer's objective in c_i is (K_i - c) F(c)
 with K_i = W q_i prod_{j != i} (1 - pi_j), the single-prize designer
-problem with one sure finder, so agent i's step is c_i = B(K_i) for the
-exact maximizer B. Since d K_i / d c_j = -K_i v_j with
-v_j = q_j f(c_j) / (1 - pi_j), that system's Jacobian is a diagonal plus a
-rank-1 term. One routine, _chord_newton, takes both Jacobians as a
-diagonal plus U diag(g) R^T and inverts Woodbury's k x k matrix once:
-k = K for the equilibrium, whose O(nK^2) factor is why only its polish
-stops at POLISH_MAX_N agents, and k = 1 for the designer, whose factor and
-steps cost O(n) at any field size.
+problem with one sure finder, so agent i's step is c_i = B(K_i) for its
+maximizer B = dist.stake_cutoff: in closed form on every family and affine
+in K_i piece by piece, so the designer's system solves no root. Since
+d K_i / d c_j = -K_i v_j with v_j = q_j f(c_j) / (1 - pi_j), that system's
+Jacobian is a diagonal plus a rank-1 term. One routine, _chord_newton,
+takes both Jacobians as a diagonal plus U diag(g) R^T and inverts
+Woodbury's k x k matrix once: k = K for the equilibrium, whose O(nK^2)
+factor is why only its polish stops at POLISH_MAX_N agents, and k = 1 for
+the designer, whose factor and steps cost O(n) at any field size.
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -53,7 +54,6 @@ from ._errors import (
 from ._numerics import bisect_root
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig, solve_threshold
-from .principal import _best_cutoff
 
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
@@ -309,55 +309,56 @@ def solve_principal_thresholds(contest: HeteroContest, W: float) -> ThresholdVec
 
     With the other cutoffs fixed, the designer's objective in c_i is
     (K_i - c) F(c) with K_i = W q_i prod_{j != i} (1 - q_j F(c_j)), so each
-    step is the exact single-prize designer maximizer with one sure finder,
-    ``principal._best_cutoff``, which holds on any cost law. Once the
-    sweeps are near the fixed point (see POLISH_MOVE), Newton steps on the
-    system's diagonal-plus-rank-1 Jacobian finish it (_designer_newton), at
-    O(n) a step and at any field size; if one is refused, the sweeps go on
-    and finish alone, so the sweeps pick the fixed point.
+    step is the single-prize designer maximizer with one sure finder,
+    ``dist.stake_cutoff(K_i)``, which every family gives in closed form:
+    no step solves a root. Once the sweeps are near the fixed point (see
+    POLISH_MOVE), Newton steps on the system's diagonal-plus-rank-1
+    Jacobian finish it (_designer_newton), at O(n) a step and at any field
+    size; if one is refused, the sweeps go on and finish alone, so the
+    sweeps pick the fixed point.
     """
     check_positive("W", W)
     d = contest.dist
-    lo, hi = d.support()
-    q = np.asarray(contest.q_values)
+    q = contest.q_values
     c = solve_thresholds(contest).thresholds
-    miss = 1.0 - _find_probabilities(contest, c)
-    stakes = np.full(contest.n, np.nan)  # K_i at agent i's last step
-    moves = np.zeros((2, contest.n))  # that step's change in K_i and in c_i
+    miss = (1.0 - _find_probabilities(contest, c)).tolist()
+    stakes = [math.nan] * contest.n  # K_i at agent i's last step
+    dK, dc = [0.0] * contest.n, [0.0] * contest.n  # that step's change in K_i and in c_i
 
     def best_response(i: int) -> float:
-        K = W * q[i] * float(np.prod(miss[:i]) * np.prod(miss[i + 1:]))
-        c_i = _best_cutoff(d, 1.0, 1.0, K, lo, hi)
-        moves[:, i] = K - stakes[i], c_i - c[i]
-        stakes[i] = K
+        K = W * q[i] * (math.prod(miss[:i]) * math.prod(miss[i + 1:]))
+        c_i = d.stake_cutoff(K)
+        dK[i], dc[i], stakes[i] = K - stakes[i], c_i - c[i], K
         miss[i] = 1.0 - q[i] * d.cdf(c_i)
         return c_i
 
     def polish():
-        steps, done, miss[:] = _designer_newton(d, q, W, c, *moves)
+        steps, done, x = _designer_newton(d, np.asarray(q), W, c, np.array(dK), np.array(dc))
+        miss[:] = x.tolist()
         return steps, done
 
     return _gauss_seidel(c, best_response, polish)
 
 
 def _designer_newton(d: CostDistribution, q: np.ndarray, W: float, c: np.ndarray, dK, dc):
-    """Chord-Newton on r(c) = c - B(K(c)), B = principal._best_cutoff, with
-    the Jacobian
+    """Chord-Newton on r(c) = c - B(K(c)), B = dist.stake_cutoff, with the
+    Jacobian
 
         J = diag(1 - b K v) + (b K) v^T,  v_j = q_j f(c_j) / x_j,
 
     where x_j = 1 - q_j F(c_j) and b_i = dB/dK is the secant dc_i / dK_i
-    over agent i's last sweep step (exact where B is affine: slope 1/2 on
-    uniform and piecewise-linear laws, alpha / (alpha + 1) on a power law)
-    and 0 for a clamped agent: _chord_newton's rank-1 case. Returns the
-    kept steps, whether max |r| fell below SWEEP_TOL, and x at the final c.
+    over agent i's last sweep step (exact where B is affine across that
+    step: slope 1/2 on uniform and piecewise-linear laws, alpha / (alpha + 1)
+    on a power law) and 0 for a clamped agent: _chord_newton's rank-1 case.
+    Returns the kept steps, whether max |r| fell below SWEEP_TOL, and x at
+    the final c.
     """
     lo, hi = d.support()
 
     def image(c):
-        x = 1.0 - q * np.array([d.cdf(float(t)) for t in c])
+        x = 1.0 - q * np.array([d.cdf(t) for t in c.tolist()])
         K = W * q * _leave_one_out_products(x)
-        img = np.array([_best_cutoff(d, 1.0, 1.0, float(k), lo, hi) for k in K])
+        img = np.array([d.stake_cutoff(k) for k in K.tolist()])
         return img, np.sign(img - lo) + np.sign(img - hi), x  # side 0 = interior
 
     start = image(c)
@@ -366,7 +367,7 @@ def _designer_newton(d: CostDistribution, q: np.ndarray, W: float, c: np.ndarray
         return 0, False, x
     with np.errstate(all="ignore"):  # a bad factor fails _chord_newton's check
         b = np.where(side == 0, dc / dK, 0.0)  # NaN until an agent's second step
-        v = q * np.array([d.pdf(float(t)) for t in c]) / x
+        v = q * np.array([d.pdf(t) for t in c.tolist()]) / x
         u = b * W * q * _leave_one_out_products(x)  # b K
         D = 1.0 - u * v
     return _chord_newton(c, start, image, D, u[:, None], np.ones(1), v[:, None], lo, hi)

@@ -434,29 +434,35 @@ def gauss_seidel_thresholds(contest):
     return c, False, hetero.MAX_SWEEPS
 
 
-def gauss_seidel_principal(contest, W):
+def gauss_seidel_principal(contest, W, best=None):
     """The designer's per-agent cutoffs by Gauss-Seidel sweeps alone, as
     ``hetero.solve_principal_thresholds`` ran them before its chord-Newton
     polish: from ``hetero.solve_thresholds``, set
-    c_i = B(W q_i prod_{j != i} (1 - q_j F(c_j))) agent by agent, B the
-    exact maximizer ``principal._best_cutoff``, until a sweep's move delta
-    and the tail bound delta rho / (1 - rho) are below SWEEP_TOL. Returns
-    (c, converged, sweeps).
+    c_i = B(W q_i prod_{j != i} (1 - q_j F(c_j))) agent by agent until a
+    sweep's move delta and the tail bound delta rho / (1 - rho) are below
+    SWEEP_TOL. B is best(K), by default the root-solving maximizer
+    ``principal._best_cutoff``, which shares no code with the library's
+    closed-form ``stake_cutoff``. Returns (c, converged, sweeps).
     """
     from searchcontest import hetero
     from searchcontest.principal import _best_cutoff
 
     d = contest.dist
     lo, hi = d.support()
-    q = np.asarray(contest.q_values)
+
+    def root_solve(K):
+        return _best_cutoff(d, 1.0, 1.0, K, lo, hi)
+
+    best = best or root_solve
+    q = contest.q_values
     c = hetero.solve_thresholds(contest).thresholds
-    miss = 1.0 - q * np.array([d.cdf(float(x)) for x in c])
+    miss = (1.0 - np.asarray(q) * np.array([d.cdf(float(x)) for x in c])).tolist()
     prev = math.inf
     for sweep in range(1, hetero.MAX_SWEEPS + 1):
         delta = 0.0
         for i in range(contest.n):
-            K = W * q[i] * float(np.prod(miss[:i]) * np.prod(miss[i + 1:]))
-            c_i = _best_cutoff(d, 1.0, 1.0, K, lo, hi)
+            K = W * q[i] * (math.prod(miss[:i]) * math.prod(miss[i + 1:]))
+            c_i = best(K)
             miss[i] = 1.0 - q[i] * d.cdf(c_i)
             delta = max(delta, abs(c_i - c[i]))
             c[i] = c_i

@@ -1,5 +1,6 @@
 import bisect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,12 +15,19 @@ from searchcontest.distributions import (
     Uniform,
     distribution_from_spec,
 )
+from searchcontest.principal import _best_cutoff
 
 # Kinked CDF with slopes 14/15, 2.8, 7/15: steep middle piece.
 KINKED_KNOTS = ((0.0, 0.0), (3.0 / 7.0, 0.4), (4.0 / 7.0, 0.8), (1.0, 1.0))
 
 # Zero-density stretch on [0.5, 0.7].
 FLAT_KNOTS = ((0.0, 0.0), (0.5, 0.5), (0.7, 0.5), (1.0, 1.0))
+
+# Density 2 on [0, 1/2], zero above.
+FLAT_TOP_KNOTS = ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0))
+
+# No mass below c = 0.3, then two rising pieces.
+FLOOR_KNOTS = ((0.0, 0.0), (0.3, 0.0), (0.6, 0.45), (1.0, 1.0))
 
 # Slope rises by 0.1 % at c = 0.5, from 1 to 1.001.
 SMALL_RISE_KNOTS = ((0.0, 0.0), (0.5, 0.5), (0.5999, 0.6), (1.0, 1.0))
@@ -307,3 +315,98 @@ def test_reverse_hazard_monotone_passes_collinear_knots():
     c = np.linspace(0.3, 1.2, 10)
     assert [d.reverse_hazard(x) for x in c] == pytest.approx(c - 0.25, abs=1e-12)
 
+
+# -------------------------------------------------------- stake cutoff
+
+STAKE_LAWS = [
+    Uniform(0.0, 1.0),
+    Uniform(0.2, 1.3),
+    PowerLaw(0.5),
+    PowerLaw(3.0),
+    PiecewiseLinear(KINKED_KNOTS),
+    PiecewiseLinear(FLAT_KNOTS),
+    PiecewiseLinear(FLAT_TOP_KNOTS),
+    PiecewiseLinear(FLOOR_KNOTS),
+]
+STAKE_IDS = ["uniform", "uniform-offset", "power0.5", "power3", "kinked", "bumpy", "flat-top",
+             "floor"]
+
+
+def within_ulps(a: float, b: float, k: int) -> bool:
+    return abs(a - b) <= k * math.ulp(max(abs(a), abs(b)))
+
+
+def exact_stake_cutoff(knots, K: float) -> Fraction:
+    """Lowest maximizer of (K - c) F(c) on a piecewise-linear law, in exact
+    arithmetic on the float knots: each rising segment's clipped vertex,
+    kept only if strictly better than the floor and the segments before."""
+    K = Fraction(K)
+    best, best_value = Fraction(knots[0][0]), Fraction(0)
+    for (c0, F0), (c1, F1) in zip(knots, knots[1:]):
+        c0, F0, c1, F1 = map(Fraction, (c0, F0, c1, F1))
+        if F1 <= F0:
+            continue
+        s = (F1 - F0) / (c1 - c0)
+        c = min(max((K + c0 - F0 / s) / 2, c0), c1)
+        value = (K - c) * (F0 + s * (c - c0))
+        if value > best_value:
+            best, best_value = c, value
+    return best
+
+
+@pytest.mark.parametrize("d", STAKE_LAWS, ids=STAKE_IDS)
+def test_stake_cutoff_matches_the_root_solve(d):
+    lo, hi = d.support()
+    for K in np.random.default_rng(24).uniform(0.0, 2.5 * hi, 500).tolist():
+        assert within_ulps(d.stake_cutoff(K), _best_cutoff(d, 1.0, 1.0, K, lo, hi), 2), K
+
+
+@pytest.mark.parametrize("d", STAKE_LAWS[4:], ids=STAKE_IDS[4:])
+def test_stake_cutoff_is_the_exact_vertex_on_piecewise_laws(d):
+    for K in np.random.default_rng(25).uniform(0.0, 2.0, 500).tolist():
+        exact = float(exact_stake_cutoff(d.cdf_knots(), K))
+        assert within_ulps(d.stake_cutoff(K), exact, 1), K
+
+
+@pytest.mark.parametrize("d", STAKE_LAWS, ids=STAKE_IDS)
+def test_stake_cutoff_is_the_floor_up_to_the_first_rising_knot(d):
+    # Up to the knot, (K - c) F(c) <= 0 wherever F > 0: the floor, worth 0,
+    # is the lowest of the maximizers. Past it the gain is positive, even
+    # where it rounds to 0 one double above the knot.
+    lo, _ = d.support()
+    rise = d.rising_pieces()[0][0]
+    for K in (0.0, 0.5 * rise, rise):
+        assert d.stake_cutoff(K) == lo
+    above = math.nextafter(rise, math.inf)
+    assert rise <= d.stake_cutoff(above) <= above
+    assert d.stake_cutoff(rise + 0.01) > rise
+
+
+def test_stake_cutoff_breaks_a_tie_between_segments_low():
+    # At K = 1 the first segment's vertex, c = 1/2 with F = 1/2, and the
+    # second's, c = 3/4 with F = 1, both gain exactly 1/4.
+    d = PiecewiseLinear(((0.0, 0.0), (0.5, 0.5), (0.625, 0.5), (0.75, 1.0)))
+    assert d.stake_cutoff(1.0) == _best_cutoff(d, 1.0, 1.0, 1.0, 0.0, 0.75) == 0.5
+
+
+@given(law=piecewise_laws(), share=st.floats(min_value=0.0, max_value=1.5))
+def test_stake_cutoff_beats_a_grid(law, share):
+    c, F = law
+    d = PiecewiseLinear(tuple(zip(c, F)))
+    K = share * c[-1]
+    best = d.stake_cutoff(K)
+    assert c[0] <= best <= c[-1]
+    grid = np.linspace(c[0], c[-1], 2001)
+    gains = (K - grid) * np.interp(grid, c, F)
+    assert (K - best) * d.cdf(best) >= np.max(gains) - 1e-15
+
+
+def test_stake_cutoff_keeps_a_gain_the_root_solve_rounds_away():
+    # On PowerLaw(40) at K = 0.11 the interior optimum gains only about
+    # 5e-42 over the floor. _best_cutoff compares -K (1 - F) - c F, in which
+    # that gain rounds to a tie with the floor, so it returns 0.
+    d, K = PowerLaw(40.0), 0.11
+    c = d.stake_cutoff(K)
+    assert c == 40.0 * K / 41.0
+    assert (K - c) * d.cdf(c) == pytest.approx(4.52e-42, rel=1e-3)
+    assert _best_cutoff(d, 1.0, 1.0, K, 0.0, 1.0) == 0.0

@@ -555,7 +555,7 @@ def test_principal_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatc
     monkeypatch.setattr(hetero, "_designer_newton", lambda d, q, W, c, dK, dc: (
         0, False, 1.0 - q * np.array([d.cdf(float(x)) for x in c])))
     alone = solve_principal_thresholds(contest, W=2.0)
-    c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0)
+    c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0, best=U01.stake_cutoff)
     assert alone.converged and converged
     assert alone.newton_steps == 0 and alone.sweeps == sweeps
     np.testing.assert_array_equal(alone.thresholds, c)
