@@ -32,10 +32,13 @@ a finder whenever anyone found), and ascending scores rank the finders.
 The expert draws one more uniform w per replication, finds iff w < q_e,
 and scores w / q_e in a shared tie-break. A chunk costs
 O(replications x n) and its draws dominate, so dense chunks come from
-PCG64DXSM, which costs about 2.5x less per double than Philox; one
-buffer per call holds every chunk's draws. The dense path draws per
-agent, not per count, so a contest with equal thresholds written as
-`PerAgentFind` cross-checks the count path.
+PCG64DXSM, which costs about 2.5x less per double than Philox. A chunk's
+draws are read from its stream in slabs of about SLAB_DOUBLES doubles,
+in order, into one small buffer, and played slab by slab, so a call's
+memory no longer grows with n x chunk rows; the slabs hold exactly the
+chunk's draws, and the estimates are the same whatever the slab size.
+The dense path draws per agent, not per count, so a contest with equal
+thresholds written as `PerAgentFind` cross-checks the count path.
 
 `simulate` accumulates success and win rates with standard errors; the
 pooled per-searcher rates use the delta-method SE for a ratio of
@@ -58,6 +61,7 @@ from .expert import MODES
 from .multiprize import PrizeStructure
 
 CHUNK_SIZE = 1 << 14
+SLAB_DOUBLES = 1 << 17  # agent uniforms a dense slab holds: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -191,16 +195,29 @@ def _chunk_rngs(sim: SimConfig, bit_generator):
 
 
 def _chunks(sim: SimConfig, n: int):
-    """Yield each chunk's draws: agent uniforms u (m x n), then the expert's
-    uniforms w (m) for `WithExpert` and None otherwise. Every chunk's u is
-    a view of one buffer that the next chunk overwrites, so a caller must
-    be done with a chunk, and keep no view of it, before asking for the
-    next."""
-    with_expert = isinstance(sim.variant, WithExpert)
-    buf = np.empty((min(CHUNK_SIZE, int(sim.replications)), n))
+    """Yield each chunk's replication count m, its slabs and its stream.
+    A slab is (rows, u): a slice of the chunk's rows and their agent
+    uniforms u (len(rows) x n). Slabs read the stream in row order, so
+    together they hold the chunk's draws whatever their size. Every u is a
+    view of one buffer of at most max(1, SLAB_DOUBLES // n) rows that the
+    next slab overwrites, so a caller must be done with a slab, and keep no
+    view of it, before asking for the next. Once the slabs are done, the
+    stream's next m doubles are the expert's uniforms w (`_expert_draws`)."""
+    height = min(max(1, SLAB_DOUBLES // n), CHUNK_SIZE, int(sim.replications))
+    buf = np.empty((height, n))
+
+    def slabs(rng, m):
+        for lo in range(0, m, height):
+            hi = min(lo + height, m)
+            yield slice(lo, hi), rng.random(out=buf[: hi - lo])
+
     for m, rng in _chunk_rngs(sim, np.random.PCG64DXSM):
-        u = rng.random(out=buf[:m])
-        yield u, rng.random(m) if with_expert else None
+        yield m, slabs(rng, m), rng
+
+
+def _expert_draws(sim: SimConfig, rng, m: int):
+    """The expert's uniforms w (m) for `WithExpert`, None otherwise."""
+    return rng.random(m) if isinstance(sim.variant, WithExpert) else None
 
 
 def _count_chunks(sim: SimConfig, n: int, F: float, q: float):
@@ -226,26 +243,32 @@ def _score(u, qF):
     return u
 
 
-def _play(u, w, qF, variant, prizes):
-    """Decide one chunk's contests; overwrites u with the tie-break scores
-    (see `_score`).
+def _play(u, qF, ranked):
+    """Decide one slab's contests among the crowd; overwrites u with the
+    tie-break scores (see `_score`).
 
-    Returns (success, outcome). For rank prizes the outcome is (found,
-    rank): who found, and each agent's 0-based rank in ascending order of
-    score, so that the finders hold the top ranks. Otherwise it is (winner,
-    crowd_wins): the agent with the lowest score, who is a uniform finder
-    whenever anyone found, and whether the crowd keeps the prize.
+    Returns (success, outcome): whether anyone in the crowd found and, for
+    rank prizes, (found, rank): who found, and each agent's 0-based rank in
+    ascending order of score, so that the finders hold the top ranks.
+    Otherwise the outcome is (winner, best): the agent with the lowest
+    score, who is a uniform finder whenever anyone found, and that score.
     """
     s = _score(u, qF)
-    if prizes is not None:
+    if ranked:
         found = s < 1.0
         rank = np.empty(s.shape, dtype=np.intp)
         np.put_along_axis(rank, s.argsort(axis=1), np.arange(s.shape[1]), axis=1)
         return found.any(axis=1), (found, rank)
-
     winner = s.argmin(axis=1)
     best = np.take_along_axis(s, winner[:, None], axis=1)[:, 0]
-    success = crowd_wins = best < 1.0
+    return best < 1.0, (winner, best)
+
+
+def _settle(success, best, w, variant):
+    """Whether anyone found and whether the crowd keeps the prize, from the
+    crowd's successes and best scores and the expert's uniforms w (None
+    without an expert)."""
+    crowd_wins = success
     if w is not None:
         expert_found = w < variant.q_e
         success = success | expert_found
@@ -255,7 +278,7 @@ def _play(u, w, qF, variant, prizes):
             # The expert joins the tie-break, and scores at least 1 unless they find.
             with np.errstate(over="ignore"):
                 crowd_wins = crowd_wins & (best < w / variant.q_e)
-    return success, (winner, crowd_wins)
+    return success, crowd_wins
 
 
 def _takes_prize(finders, rivals, x, v, variant):
@@ -272,31 +295,50 @@ def _takes_prize(finders, rivals, x, v, variant):
 def _dense_tallies(sim, n, thr, F_thr, qF, V, top_total):
     """Each chunk's searchers S, payout events X and prize total pay per
     replication, then its successes, the sum of the searchers' thresholds
-    and its agent x rank win counts. Every chunk's draws share one buffer,
-    so a lazy map finishes each tally before the next chunk is drawn, and
-    no tally keeps a view of it."""
+    and its agent x rank win counts. Slabs fill the per-replication arrays.
+    Searches per agent are counted in integers and dotted with thr once a
+    chunk. Finders wait as cells rank * n + agent until they outnumber the
+    cells of the ranks they reach, or the chunk ends; then one bincount
+    over those ranks counts them, so counting costs O(finders)."""
+    ranked = top_total is not None
     agents = np.arange(n)
-
-    def tally(draws):
-        u, w = draws
-        searched = u < F_thr
-        success, outcome = _play(u, w, qF, sim.variant, top_total)
-        if top_total is None:
-            winner, crowd_wins = outcome
+    for m, slabs, rng in _chunks(sim, n):
+        S = np.empty(m)
+        success = np.empty(m, dtype=bool)
+        searches = np.zeros(n, dtype=np.intp)
+        if ranked:
+            K = np.empty(m, dtype=np.intp)
+            table = np.zeros((n, n), dtype=np.intp)  # rank x agent
+            cells, top = [], 0
+        else:
+            winner = np.empty(m, dtype=np.intp)
+            best = np.empty(m)
+        for rows, u in slabs:
+            searched = u < F_thr
+            S[rows] = searched.sum(axis=1)
+            searches += searched.sum(axis=0)
+            success[rows], outcome = _play(u, qF, ranked)
+            if not ranked:
+                winner[rows], best[rows] = outcome
+                continue
+            found, rank = outcome
+            K[rows] = found.sum(axis=1)
+            cells.append((rank * n + agents)[found])
+            top = max(top, int(K[rows].max()))
+            if sum(map(len, cells)) >= top * n or rows.stop == m:
+                counts = np.bincount(np.concatenate(cells), minlength=top * n)
+                table[:top] += counts.reshape(top, n)
+                cells, top = [], 0
+        if ranked:
+            X = K.astype(float)
+            pay = top_total[K]  # finders score below 1, so they hold the top K ranks
+            wins = table.T
+        else:
+            success, crowd_wins = _settle(success, best, _expert_draws(sim, rng, m), sim.variant)
             X = crowd_wins.astype(float)
             pay = V * X
             wins = np.bincount(winner[crowd_wins], minlength=n)[:, None]
-        else:
-            found, rank = outcome
-            K = found.sum(axis=1)
-            X = K.astype(float)
-            pay = top_total[K]  # finders score below 1, so they hold the top K ranks
-            cells = (agents * n + rank)[found]
-            wins = np.bincount(cells, minlength=n * n).reshape(n, n)
-        S = searched.sum(axis=1).astype(float)
-        return S, X, pay, success, float(searched.sum(axis=0) @ thr), wins
-
-    return map(tally, _chunks(sim, n))
+        yield S, X, pay, success, float(searches @ thr), wins
 
 
 def _count_tallies(sim, n, thr, F, q, V, top_total):
@@ -340,7 +382,7 @@ def simulate(d: CostDistribution, cfg: ContestConfig, sim: SimConfig) -> SimEsti
 
     for S, X, pay, success, thr_searched, chunk_wins in chunks:
         found_total += float(np.count_nonzero(success))
-        wins = wins + chunk_wins
+        wins += chunk_wins
         sum_X += float(X.sum())
         sum_S += float(S.sum())
         sum_XX += float((X * X).sum())
@@ -411,17 +453,23 @@ def _ratio_estimate(sx, ss, sxx, sss, sxs, N):
 
 def _dense_tagged_prizes(sim, n, qF, V, prizes):
     """Each chunk's prizes to agent 0 from the dense play."""
-
-    def prize(draws):
-        u, w = draws
+    for m, slabs, rng in _chunks(sim, n):
         if prizes is None:
-            _, (winner, crowd_wins) = _play(u, w, qF, sim.variant, prizes)
-            return V * (crowd_wins & (winner == 0))
-        # Agent 0's rank is the number of finders who score lower.
-        s = _score(u, qF)
-        return prizes[np.count_nonzero(s < s[:, :1], axis=1)] * (s[:, 0] < 1.0)
-
-    return map(prize, _chunks(sim, n))
+            success = np.empty(m, dtype=bool)
+            tagged = np.empty(m, dtype=bool)
+            best = np.empty(m)
+            for rows, u in slabs:
+                success[rows], (winner, best[rows]) = _play(u, qF, False)
+                tagged[rows] = winner == 0
+            _, crowd_wins = _settle(success, best, _expert_draws(sim, rng, m), sim.variant)
+            yield V * (crowd_wins & tagged)
+        else:
+            prize = np.empty(m)
+            for rows, u in slabs:
+                # Agent 0's rank is the number of finders who score lower.
+                s = _score(u, qF)
+                prize[rows] = prizes[np.count_nonzero(s < s[:, :1], axis=1)] * (s[:, 0] < 1.0)
+            yield prize
 
 
 def _count_tagged_prizes(sim, n, F, q, V, prizes):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import check_field_size, check_find_probability, check_positive
-from ._numerics import compl_pow, solve_cutoff
+from ._numerics import compl_pow, prob_any, solve_cutoff
 from .distributions import CostDistribution
 from .equilibrium import ContestConfig, win_probability
 
@@ -64,6 +64,11 @@ def objective(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -
 def _objective(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
     F = d.cdf(c_hat)
     return -W * compl_pow(q * F, n) - n * c_hat * F
+
+
+def _gain(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
+    F = d.cdf(c_hat)
+    return W * prob_any(q * F, n) - n * c_hat * F
 
 
 def optimality_map(d: CostDistribution, q: float, n: float, W: float, c_hat: float) -> float:
@@ -121,8 +126,11 @@ def _best_cutoff(d: CostDistribution, q: float, n: float, W: float, lo: float, h
     Arguments are not checked, so W = 0 is allowed.
     A piece's top is evaluated one ulp inside it, because pdf at a knot is
     the next segment's slope; a clamp there maps back to the top.
+    Candidates are compared by their gain over the floor,
+    W prob_any(q F, n) - n c F = objective + W, in which a gain far below
+    W does not round away.
     """
-    best, best_value = lo, _objective(d, q, n, W, lo)
+    best, best_value = lo, _gain(d, q, n, W, lo)
     for a, b in d.rising_pieces():
         a, b = max(a, lo), min(b, hi)
         if a >= b:
@@ -131,7 +139,7 @@ def _best_cutoff(d: CostDistribution, q: float, n: float, W: float, lo: float, h
         c, _ = solve_cutoff(lambda t: _optimality_map(d, q, n, W, t), a, top)
         if c == top:
             c = b
-        value = _objective(d, q, n, W, c)
+        value = _gain(d, q, n, W, c)
         if value > best_value:
             best, best_value = c, value
     return best

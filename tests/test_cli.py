@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import oracles
@@ -497,7 +498,23 @@ def test_prize_structure_on_a_power_law_at_a_tiny_cutoff(capsys):
             "--n", "2", "--W", "2", "--V", "1e-10"]
     code, rec = run_json(capsys, argv)
     assert code == 0
-    assert rec["results"]["regime"] == "equal-split"
+    # The achievable cutoffs [a, b] lie near 1e-310. There the designer's
+    # gain W (1 - (1 - q F)^2) - 2 c F = W q F (2 - q F) - 2 c F, about
+    # (4e-300 - 2 c) c^alpha, rises with c, so the target is b, where
+    # winner-takes-all puts the cutoff.
+    a, b = 5e-311, rec["results"]["threshold"]
+    with mpmath.workdps(50):
+        W, q, alpha = mpmath.mpf(2), mpmath.mpf(1e-300), mpmath.mpf(1e-3)
+
+        def gain(c):
+            F = c**alpha
+            return W * q * F * (2 - q * F) - 2 * c * F
+
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        grid = [gain(a + (b - a) * k / 100) for k in range(101)]
+        assert all(x < y for x, y in zip(grid, grid[1:]))
+        assert rec["results"]["value"] == pytest.approx(float(grid[-1]), rel=1e-12)
+    assert rec["results"]["regime"] == "winner-takes-all"
 
 
 def test_simulate_rejects_a_negative_seed(capsys):

@@ -401,12 +401,12 @@ def test_stake_cutoff_beats_a_grid(law, share):
     assert (K - best) * d.cdf(best) >= np.max(gains) - 1e-15
 
 
-def test_stake_cutoff_keeps_a_gain_the_root_solve_rounds_away():
+def test_stake_cutoff_keeps_a_gain_far_below_the_stake():
     # On PowerLaw(40) at K = 0.11 the interior optimum gains only about
-    # 5e-42 over the floor. _best_cutoff compares -K (1 - F) - c F, in which
-    # that gain rounds to a tie with the floor, so it returns 0.
+    # 5e-42 over the floor. The root solve keeps it too, because
+    # _best_cutoff compares gains over the floor.
     d, K = PowerLaw(40.0), 0.11
     c = d.stake_cutoff(K)
     assert c == 40.0 * K / 41.0
     assert (K - c) * d.cdf(c) == pytest.approx(4.52e-42, rel=1e-3)
-    assert _best_cutoff(d, 1.0, 1.0, K, 0.0, 1.0) == 0.0
+    assert within_ulps(_best_cutoff(d, 1.0, 1.0, K, 0.0, 1.0), c, 2)

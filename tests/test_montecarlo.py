@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,96 @@ def test_zero_threshold_means_nobody_searches():
     np.testing.assert_array_equal(est.win_rate_per_agent, 0.0)
 
 
+# ------------------------------------------------------------------ slabs
+
+
+SLAB_VARIANTS = {
+    "per_agent": lambda n, rng: PerAgentFind(tuple(rng.uniform(0.1, 1.0, n).tolist())),
+    "baseline": lambda n, rng: Baseline(),
+    "shared": lambda n, rng: WithExpert(0.3, "shared"),
+    "expert_keeps": lambda n, rng: WithExpert(0.4, "expert_keeps"),
+    "rank": lambda n, rng: RankPrizes(
+        PrizeStructure(tuple(sorted(rng.uniform(0.0, 1.0, n).tolist(), reverse=True)))
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 50, 200])
+@pytest.mark.parametrize("variant", list(SLAB_VARIANTS))
+def test_slab_size_leaves_every_estimate_unchanged(variant, n, monkeypatch):
+    # Unequal cutoffs take the dense path. Smaller chunks keep one-row slabs
+    # quick while the calls still cross chunk boundaries; 7-row slabs do not
+    # divide a chunk.
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1000)
+    rng = np.random.default_rng(n)
+    cutoffs = tuple(rng.uniform(0.0, 1.0 if n == 3 else 0.1, n).tolist())
+    cfg = ContestConfig(n=float(n), q=0.6, V=1.3)
+    sim = SimConfig(2503, 31, cutoffs, SLAB_VARIANTS[variant](n, rng))
+
+    def run(rows):
+        monkeypatch.setattr(montecarlo, "SLAB_DOUBLES", rows * n)
+        return simulate(U01, cfg, sim), deviation_gain(U01, cfg, sim, 0.3)
+
+    whole = run(1000)
+    for rows in (1, 7):
+        for got, want in zip(run(rows), whole):
+            assert_same_fields(got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500])
+def test_rank_wins_count_each_finder_at_its_argsort_rank(rows, monkeypatch):
+    # One chunk's draws, scored and ranked whole with argsort, against the
+    # finders that the slabs count; cutoffs near 0 leave a few finders a row.
+    n, m, seed = 40, 500, 13
+    monkeypatch.setattr(montecarlo, "SLAB_DOUBLES", rows * n)
+    rng = np.random.default_rng(5)
+    cutoffs = rng.uniform(0.0, 0.3, n)
+    prizes = PrizeStructure(tuple(sorted(rng.uniform(0.0, 1.0, n).tolist(), reverse=True)))
+    est = simulate(U01, ContestConfig(n=float(n), q=0.5, V=1.0),
+                   SimConfig(m, seed, tuple(cutoffs.tolist()), RankPrizes(prizes)))
+    s = montecarlo._chunk_rng(seed, 0, np.random.PCG64DXSM).random((m, n)) / (0.5 * cutoffs)
+    rank = s.argsort(axis=1).argsort(axis=1)
+    want = np.zeros((n, n))
+    np.add.at(want, (np.nonzero(s < 1.0)[1], rank[s < 1.0]), 1.0)
+    np.testing.assert_array_equal(est.rank_win_rates, want / m)
+
+
+# The child reports its own peak RSS in KiB. VmHWM belongs to the child's
+# address space; ru_maxrss would also keep the peak of the pytest process
+# that started it, which Linux carries across exec.
+MEMORY_PROBE = """
+import sys
+import numpy as np
+from searchcontest.distributions import Uniform
+from searchcontest.equilibrium import ContestConfig
+from searchcontest.montecarlo import PerAgentFind, RankPrizes, SimConfig, simulate
+from searchcontest.multiprize import PrizeStructure
+n = 2000
+agents = np.arange(n)
+if sys.argv[1] == "rank":
+    variant = RankPrizes(PrizeStructure(tuple((1.0 / (1.0 + agents)).tolist())))
+else:
+    variant = PerAgentFind(tuple((0.2 + 0.7 * agents / n).tolist()))
+cutoffs = tuple(((agents + 0.5) / n).tolist())
+simulate(Uniform(0.0, 1.0), ContestConfig(n=float(n), q=0.5, V=1.0),
+         SimConfig(16_384, 3, cutoffs, variant))
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("variant", ["per_agent", "rank"])
+def test_a_large_dense_chunk_stays_small(variant):
+    # A whole 16,384 x 2000 chunk of doubles is 262 MB. Cutoffs spread over
+    # the support put about a quarter of the crowd among the finders.
+    src = Path(montecarlo.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", MEMORY_PROBE, variant], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) / 1024 < 150
+
+
 # ------------------------------------------------------------- tie-break
 
 
@@ -199,8 +293,7 @@ def test_play_finds_exactly_below_q_f():
     rng = np.random.default_rng(3)
     qF = np.concatenate((rng.random(500), [1.0 / 3.0, 0.7 * 0.3, 0.1, 1e-300, 5e-324, 1.0]))
     u = np.vstack((np.nextafter(qF, 0.0), qF))
-    prizes = np.zeros(qF.size)
-    success, (found, _) = montecarlo._play(u, None, qF, Baseline(), prizes)
+    success, (found, _) = montecarlo._play(u, qF, ranked=True)
     assert found[0].all() and not found[1].any()
     assert success.tolist() == [True, False]
 
@@ -208,7 +301,8 @@ def test_play_finds_exactly_below_q_f():
 def test_play_finder_beats_non_finders_sitting_at_q_f():
     qF = np.array([0.3, 0.21, 0.3])
     u = np.array([[0.3, np.nextafter(0.21, 0.0), 0.3], [0.3, 0.21, 0.3]])
-    success, (winner, crowd_wins) = montecarlo._play(u, None, qF, Baseline(), None)
+    success, (winner, best) = montecarlo._play(u, qF, ranked=False)
+    success, crowd_wins = montecarlo._settle(success, best, None, Baseline())
     assert success.tolist() == [True, False]
     assert winner[0] == 1
     assert crowd_wins.tolist() == [True, False]
@@ -218,11 +312,12 @@ def test_play_never_finds_where_q_f_is_zero():
     # u = 0 can be drawn, and 0 < 0 * anything is false.
     qF = np.array([0.0, 0.2, 0.0])
     u = np.array([[0.0, 0.5, 0.0], [0.0, 0.1, 0.0]])
-    success, (winner, crowd_wins) = montecarlo._play(u.copy(), None, qF, Baseline(), None)
+    success, (winner, best) = montecarlo._play(u.copy(), qF, ranked=False)
+    success, crowd_wins = montecarlo._settle(success, best, None, Baseline())
     assert success.tolist() == [False, True]
     assert crowd_wins.tolist() == [False, True]
     assert winner[1] == 1
-    success, (found, rank) = montecarlo._play(u.copy(), None, qF, Baseline(), np.ones(3))
+    success, (found, rank) = montecarlo._play(u.copy(), qF, ranked=True)
     assert found.tolist() == [[False, False, False], [False, True, False]]
     assert rank[1, 1] == 0
 
@@ -233,9 +328,8 @@ def test_play_shared_expert_wins_on_the_lower_score():
     qF = np.array([0.5, 0.5])
     w = np.array([np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.2, 1.0), 0.6, 0.1])
     u = np.array([[0.2, 0.4]] * 4 + [[0.9, 0.6]])
-    success, (winner, crowd_wins) = montecarlo._play(
-        u, w, qF, WithExpert(q_e, "shared"), None
-    )
+    success, (winner, best) = montecarlo._play(u, qF, ranked=False)
+    success, crowd_wins = montecarlo._settle(success, best, w, WithExpert(q_e, "shared"))
     assert (w / q_e < 0.4).tolist() == [True, False, False, False, True]
     assert crowd_wins.tolist() == [False, False, True, True, False]
     assert success.tolist() == [True] * 5
@@ -245,7 +339,7 @@ def test_play_shared_expert_wins_on_the_lower_score():
 def test_play_ranks_finders_in_ascending_score():
     qF = np.array([0.5, 0.5, 0.4, 0.5, 0.5])
     u = np.array([[0.3, 0.1, 0.45, 0.2, 0.0]])  # scores 0.6, 0.2, 1.125, 0.4, 0
-    success, (found, rank) = montecarlo._play(u, None, qF, Baseline(), np.ones(5))
+    success, (found, rank) = montecarlo._play(u, qF, ranked=True)
     assert success.tolist() == [True]
     assert found.tolist() == [[True, True, False, True, True]]
     assert rank.tolist() == [[3, 1, 4, 2, 0]]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -216,3 +217,22 @@ def test_huge_field_interior_solve():
     assert sol.regime == "interior"
     assert 0.25 < sol.threshold < 0.2501
     assert sol.prize == pytest.approx(0.9241962407465937, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha, q, n, W", [(40.0, 0.5, 3, 0.6), (9.34, 0.109, 1, 0.118)])
+def test_a_gain_far_below_the_stakes_is_not_rounded_away(alpha, q, n, W):
+    # The interior optimum gains about 1e-23 and 1e-21 over the floor, far
+    # below W: the objective -W (1 - q F)^n - n c F rounds it to a tie with
+    # the floor's -W. The first-order condition on a power law is
+    # c (1 + 1/alpha) = W q (1 - q c^alpha)^(n - 1).
+    sol = optimal_prize(PowerLaw(alpha), q, n, W)
+    with mpmath.workdps(50):
+        a, qm, Wm = mpmath.mpf(alpha), mpmath.mpf(q), mpmath.mpf(W)
+        root = mpmath.findroot(
+            lambda c: c * (1 + 1 / a) - Wm * qm * (1 - qm * c**a) ** (n - 1),
+            a * Wm * qm / (a + 1),
+        )
+        F = root**a
+        assert Wm * (1 - (1 - qm * F) ** n) - n * root * F > 0
+    assert sol.regime == "interior"
+    assert sol.threshold == pytest.approx(float(root), rel=1e-14)
