@@ -8,10 +8,13 @@ library reports when those assumptions are dropped:
    rises on two pieces, not one, and the two-player equilibrium set is a
    whole segment of asymmetric equilibria (c1, 1 - c1), solved exactly,
    instead of a single point.
-2. With unequal find probabilities the solve (Gauss-Seidel sweeps, then
+2. On a steep power law F = c^20 the two-player set holds, besides the
+   symmetric cutoff, an asymmetric pair: a 2-cycle of the best response,
+   solved exactly as well.
+3. With unequal find probabilities the solve (Gauss-Seidel sweeps, then
    chord-Newton steps) produces per-agent cutoffs; stronger agents search
    more, and the success probability decomposes agent by agent.
-3. The designer's ideal cutoffs can form a vector that no single prize
+4. The designer's ideal cutoffs can form a vector that no single prize
    implements, for unequal agents and, on the kinked law, for equal ones;
    the solver reports the implied-prize disagreement instead of papering
    over it.
@@ -20,7 +23,7 @@ library reports when those assumptions are dropped:
 import numpy as np
 
 from searchcontest import ConvergenceError
-from searchcontest.distributions import PiecewiseLinear, Uniform
+from searchcontest.distributions import PiecewiseLinear, PowerLaw, Uniform
 from searchcontest.hetero import (
     HeteroContest,
     agent_win_probabilities,
@@ -44,14 +47,23 @@ def main():
     print(f"  F/f rises on {pieces}  (it drops at 3/7 = {3 / 7:.4f})")
     scan = best_response_scan_n2(kinked, 1.0, 5.0 / 7.0)
     left, right = scan.segments[0]
-    print(f"  equilibrium set: c1 in [{left!r}, {right!r}], "
-          f"exact (certified): {scan.certified}")
+    print(f"  equilibrium set, solved cell by cell: c1 in [{left!r}, {right!r}]")
     print(f"  3/7 = {3 / 7!r}, 4/7 = {4 / 7!r}")
     pairs = scan.pairs
     print(f"  sampled pairs at step {scan.grid_step:g}: {pairs.shape[0]}; every one "
           f"satisfies c2 = 1 - c1: {bool(np.all(np.abs(pairs.sum(axis=1) - 1.0) < 1e-9))}")
     print(f"  symmetric (1/2, 1/2) included: {scan.has_symmetric}")
     print("  a continuum of asymmetric equilibria, not a unique point.")
+
+    print(LINE)
+    print("power law F = c^20, two players, q = 1, V = 0.95:")
+    scan = best_response_scan_n2(PowerLaw(20.0), 1.0, 0.95)
+    print(f"  symmetric cutoff: {scan.symmetric!r}")
+    for c1, c2 in scan.pairs.tolist():
+        if c1 < c2:
+            print(f"  asymmetric pair: ({c1!r}, {c2!r})")
+    print(f"  {len(scan.segments)} isolated equilibria in all, each a root of "
+          "BR(BR(c)) = c in its own monotone cell.")
 
     print(LINE)
     print("unequal abilities q = (0.9, 0.6, 0.3), uniform costs, V = 1:")

@@ -35,9 +35,10 @@ the designer, whose factor and steps cost O(n) at any field size.
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
-of asymmetric equilibria. On uniform and piecewise-linear laws the set is
-exact, solved cell by cell between the best response's kinks and their
-preimages; on power laws it is sampled on a grid and marked uncertified.
+of asymmetric equilibria. It is exact on every law, solved cell by cell
+between cuts on which BR(BR(c)) - c is monotone: the best response's kinks
+and their preimages and, on a power law, the gap's turns, at most one on
+each side of the peak of c BR(c) (see _power_turns).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from ._errors import (
     ConvergenceError, InputError, check_find_probabilities, check_find_probability, check_positive,
 )
 from ._numerics import bisect_root
-from .distributions import CostDistribution
+from .distributions import CostDistribution, PowerLaw
 from .equilibrium import ContestConfig, solve_threshold
 
 SWEEP_TOL = 1e-10
@@ -433,17 +434,14 @@ class N2ScanResult:
     """The two-player equilibrium set, as the c1 values of its pairs
     (c1, BR(c1)); only pairs with both cutoffs inside the support count.
 
-    segments are the set's closed c1 ranges, in order; an isolated
-    equilibrium is a segment (c, c). symmetric is the interior cutoff with
-    BR(c) = c, or None where that cutoff clamps. certified is True when the
-    set was solved cell by cell (exact up to rounding) and False when it
-    was sampled on a grid. grid_step is the spacing of the sample `pairs`
-    draws from each segment.
+    segments are the set's closed c1 ranges, in order, exact up to rounding
+    on every law; an isolated equilibrium is a segment (c, c). symmetric is
+    the interior cutoff with BR(c) = c, or None where that cutoff clamps.
+    grid_step is the spacing of the sample `pairs` draws from each segment.
     """
 
     segments: list[tuple[float, float]]
     symmetric: float | None
-    certified: bool
     grid_step: float
     dist: CostDistribution
     q: float
@@ -492,103 +490,105 @@ def best_response_scan_n2(
     grid: int = 10001,
 ) -> N2ScanResult:
     """The full two-player equilibrium set: every c1 with BR(BR(c1)) = c1
-    whose pair (c1, BR(c1)) lies inside the support.
+    whose pair (c1, BR(c1)) lies inside the support, solved cell by cell.
 
-    On a law with knots (uniform or piecewise-linear) the set is exact:
-    BR = clamp(qV(1 - (q/2)F)) is affine between the knots and the clamp
-    points, so BR o BR is affine on the cells these points and their
-    BR-preimages cut, typically a dozen or fewer. A cell where BR o BR is
-    the identity (to SCAN_TOL) is a segment of the set; any other cell
-    holds at most one root, solved by bisect_root. On a power law, which
-    has no knots, the set is sampled instead and the result is not
-    certified: grid points whose gap |BR(BR(c)) - c| is within SCAN_TOL are
-    kept, and sign changes of the gap between grid points are refined by
-    bisect_root.
+    The gap BR(BR(c)) - c is monotone between the cuts of _scan_cuts, so a
+    cell whose ends and midpoint have a gap within SCAN_TOL is a segment,
+    and any other holds at most one root where the gap changes sign: the
+    symmetric cutoff BR(c) = c where the cell brackets it (near a 2-cycle's
+    birth the gap is too flat to pin it), else a bisect_root solve. Pieces
+    closer than SCAN_TOL join one segment, a segment whose middle pair
+    clamps is dropped, and the symmetric cutoff counts where the set holds
+    it. A law neither knotted nor a power law raises InputError.
 
-    Pieces of the set closer than SCAN_TOL (exact) or 1.5 grid steps
-    (sampled) join one segment, and a segment whose middle pair clamps is
-    dropped. The symmetric cutoff BR(c) = c is solved directly and counts
-    where the set holds it.
-
-    grid is the number of points across the support; the default 10001
-    gives 1e-4 spacing on a unit-width support. It sets where a power law
-    is sampled and, on every law, the spacing of the `pairs` sample.
+    grid, an integer >= 2, is the number of points across the support; it
+    sets only the spacing of `pairs` (1e-4 on a unit support by default).
     """
-    count = int(grid)
-    if count < 2:
-        raise InputError(f"grid must be at least 2 points, got {grid}")
+    if not (isinstance(grid, (int, np.integer)) and grid >= 2):
+        raise InputError(f"grid must be an integer >= 2, got {grid!r}")
     check_find_probability(q)
     check_positive("V", V)
     lo, hi = d.support()
-    step = (hi - lo) / (count - 1)
-
-    def br(c: float) -> float:
-        return best_response_n2(d, q, V, c)
+    br = functools.partial(best_response_n2, d, q, V)
 
     def gap(c1: float) -> float:
         return br(br(c1)) - c1
 
-    knots = d.cdf_knots()
-    if knots is None:
-        found, join = _sampled_fixed_set(gap, np.linspace(lo, hi, count)), 1.5 * step
-    else:
-        found, join = _exact_fixed_set(gap, knots, q, V), SCAN_TOL
-    segments: list[tuple[float, float]] = []
-    for a, b in sorted(found):
-        if segments and a - segments[-1][1] <= join:
-            segments[-1] = (segments[-1][0], max(b, segments[-1][1]))
-        else:
-            segments.append((a, b))
-    # A segment whose middle pair clamps holds no interior pair.
-    segments = [s for s in segments
-                if _interior((mid := 0.5 * (s[0] + s[1]), br(mid)), lo, hi)]
-    # BR(c) - c falls, from >= 0 at lo to <= 0 at hi. Its root counts where
-    # the set holds it, so that a pair the set drops as clamped stays out.
-    c = bisect_root(lambda c: br(c) - c, lo, hi)
-    held = any(a - join <= c <= b + join for a, b in segments)
-    symmetric = c if held and _interior((c, br(c)), lo, hi) else None
-    return N2ScanResult(segments, symmetric, knots is not None, step, d, q, V)
-
-
-def _exact_fixed_set(gap, knots, q: float, V: float):
-    """Pieces (a, b) of {c : gap(c) = 0} on a piecewise-linear law, cell by
-    cell; an isolated root is (c, c)."""
-    lo, hi = knots[0][0], knots[-1][0]
-
-    def preimages(values) -> set[float]:
-        # The raw best response qV(1 - (q/2)F(c)) equals v where F(c) = y.
-        # A level within LEVEL_TOL of a knot's F crosses at knots, which
-        # are cuts already; solving for it on a shallow piece would move
-        # the crossing off the knot by the level's rounding over the slope.
-        out = set()
-        for v in values:
-            y = 2.0 * (1.0 - v / (q * V)) / q
-            if all(abs(y - F) > LEVEL_TOL for _, F in knots):
-                out.update(c0 + (y - F0) / ((F1 - F0) / (c1 - c0))
-                           for (c0, F0), (c1, F1) in zip(knots, knots[1:]) if F0 < y < F1)
-        return out
-
-    breaks = {c for c, _ in knots} | preimages((lo, hi))  # BR's own kinks
-    cuts = sorted(c for c in breaks | preimages(breaks) if lo <= c <= hi)
+    # BR(c) - c falls, from >= 0 at lo to <= 0 at hi; its root is a gap root.
+    sym = bisect_root(lambda c: br(c) - c, lo, hi)
+    cuts = _scan_cuts(d, q, V)
     gaps = [gap(c) for c in cuts]
     found = [(c, c) for c, g in zip(cuts, gaps) if abs(g) <= SCAN_TOL]
     for a, b, ga, gb in zip(cuts, cuts[1:], gaps, gaps[1:]):
         if max(abs(ga), abs(gb), abs(gap(0.5 * (a + b)))) <= SCAN_TOL:
             found.append((a, b))
         elif ga * gb < 0.0 and min(abs(ga), abs(gb)) > SCAN_TOL:
-            root = bisect_root(gap, a, b)
-            found.append((root, root))
-    return found
+            found.append((sym if a <= sym <= b else bisect_root(gap, a, b),) * 2)
+    segments: list[tuple[float, float]] = []
+    for a, b in sorted(found):
+        if segments and a - segments[-1][1] <= SCAN_TOL:
+            segments[-1] = (segments[-1][0], max(b, segments[-1][1]))
+        else:
+            segments.append((a, b))
+    # A segment whose middle pair clamps holds no interior pair.
+    segments = [s for s in segments
+                if _interior((mid := 0.5 * (s[0] + s[1]), br(mid)), lo, hi)]
+    # Held by the set, so that a symmetric pair the set drops as clamped stays out.
+    held = any(a - SCAN_TOL <= sym <= b + SCAN_TOL for a, b in segments)
+    symmetric = sym if held and _interior((sym, br(sym)), lo, hi) else None
+    return N2ScanResult(segments, symmetric, (hi - lo) / (int(grid) - 1), d, q, V)
 
 
-def _sampled_fixed_set(gap, grid_pts: np.ndarray):
-    """Roots of gap on a grid, as points (c, c): grid points within
-    SCAN_TOL, and a bisect_root solve per sign change between them."""
-    gaps = [gap(float(c)) for c in grid_pts]
-    found = [(float(c), float(c)) for c, g in zip(grid_pts, gaps) if abs(g) <= SCAN_TOL]
-    for i in range(len(gaps) - 1):
-        ga, gb = gaps[i], gaps[i + 1]
-        if ga * gb < 0.0 and min(abs(ga), abs(gb)) > SCAN_TOL:
-            root = bisect_root(gap, float(grid_pts[i]), float(grid_pts[i + 1]))
-            found.append((root, root))
-    return found
+def _scan_cuts(d: CostDistribution, q: float, V: float) -> list[float]:
+    """Sorted cuts between which BR(BR(c)) - c is monotone: the support's
+    ends, BR's kinks (F's knots, the clamp points) and their BR-preimages,
+    which leave BR o BR affine on a knotted law, and a power law's turns."""
+    lo, hi = d.support()
+    knots = d.cdf_knots()
+    if knots is not None:
+        def inverse(y: float) -> list[float]:
+            # A level within LEVEL_TOL of a knot's F crosses at knots, which
+            # are cuts already; solving for it on a shallow piece would move
+            # the crossing off the knot by the level's rounding over the slope.
+            if any(abs(y - F) <= LEVEL_TOL for _, F in knots):
+                return []
+            return [c0 + (y - F0) / ((F1 - F0) / (c1 - c0))
+                    for (c0, F0), (c1, F1) in zip(knots, knots[1:]) if F0 < y < F1]
+    elif isinstance(d, PowerLaw):
+        def inverse(y: float) -> list[float]:
+            return [y ** (1.0 / d.alpha)] if 0.0 < y < 1.0 else []
+    else:
+        raise InputError(f"the two-player scan needs a knotted or power law, got {d!r}")
+
+    def preimages(values) -> set[float]:
+        # The raw best response qV(1 - (q/2)F(c)) equals v where F(c) = y.
+        qV = max(q * V, math.ulp(0.0))  # 0 only where q V underflows
+        return {c for v in values for c in inverse(2.0 * (1.0 - v / qV) / q)}
+
+    breaks = {lo, hi} | {c for c, _ in knots or ()} | preimages((lo, hi))
+    cuts = breaks | preimages(breaks) | set(() if knots else _power_turns(d, q, V))
+    return sorted(c for c in cuts if lo <= c <= hi)
+
+
+def _power_turns(d: PowerLaw, q: float, V: float) -> list[float]:
+    """Where BR(BR(c)) - c may turn on F = c^alpha. Off the clamps its slope
+    is K phi(c)^(alpha - 1) - 1, K = (q^2 V alpha / 2)^2, where
+    phi(c) = c BR(c) = qV(c - (q/2)c^(alpha + 1)) rises to its peak at
+    c* = (2/(q(alpha + 1)))^(1/alpha), then falls. So the slope is zero
+    where phi = T = K^(-1/(alpha - 1)), at most once on each side of c*. c*
+    is no cut: the slope keeps its sign there, and near a 2-cycle's birth
+    c* is a near-root. K and T are in logs, as float ** raises on overflow."""
+    alpha = d.alpha
+    peak = min(2.0 / (q * (alpha + 1.0)), 1.0) ** (1.0 / alpha)
+
+    def phi(c: float) -> float:
+        return q * V * c * (1.0 - 0.5 * q * d.cdf(c))
+
+    top, log_K = phi(peak), 2.0 * (2.0 * math.log(q) + math.log(V) + math.log(0.5 * alpha))
+    if alpha == 1.0 or top <= 0.0 or math.log(top) <= (log_T := -log_K / (alpha - 1.0)):
+        return []
+    T = math.exp(log_T)
+    turns = [bisect_root(lambda c: phi(c) - T, 0.0, peak)]
+    if phi(1.0) < T:
+        turns.append(bisect_root(lambda c: phi(c) - T, peak, 1.0))
+    return turns

@@ -326,6 +326,31 @@ def n2_fixed_set_exact(knots, q, V):
     return segments, symmetric
 
 
+def n2_sampled_fixed_set(gap, grid_pts):
+    """Roots of gap(c) = BR(BR(c)) - c sampled on a grid, for any law.
+
+    Grid points with |gap| <= 1e-9 count, and each sign change between
+    neighbouring grid points is bisected to float resolution; roots within
+    1.5 grid steps of each other join one segment. gap must take the grid
+    as an array as well as single floats. Returns the closed c1 ranges, in
+    order, with no interiority filter.
+    """
+    tol = 1e-9
+    gaps = np.asarray(gap(grid_pts))
+    found = grid_pts[np.abs(gaps) <= tol].tolist()
+    change = (gaps[:-1] * gaps[1:] < 0.0) & (np.minimum(np.abs(gaps[:-1]), np.abs(gaps[1:])) > tol)
+    found += [bisect_plain(gap, float(grid_pts[i]), float(grid_pts[i + 1]))[0]
+              for i in np.flatnonzero(change)]
+    join = 1.5 * float(grid_pts[1] - grid_pts[0])
+    segments = []
+    for c in sorted(map(float, found)):
+        if segments and c - segments[-1][1] <= join:
+            segments[-1] = (segments[-1][0], c)
+        else:
+            segments.append((c, c))
+    return segments
+
+
 # Float versions of the rank-prize double sums, called like the library
 # functions they check: (distribution, q, n, m, cutoff).
 

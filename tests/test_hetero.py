@@ -1,9 +1,11 @@
 import json
 import math
 import pickle
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -764,7 +766,6 @@ def _assert_matches_exact(knots, q, V):
     res = best_response_scan_n2(_float_law(knots), float(q), float(V))
     segments, symmetric = oracles.n2_fixed_set_exact(knots, q, V)
     br = oracles.n2_best_response_exact(knots, q, V)
-    assert res.certified
     assert len(res.segments) == len(segments)
     for got, want in zip(res.segments, segments):
         if want[0] < want[1]:
@@ -811,35 +812,135 @@ def test_scan_matches_the_exact_rational_set(draw):
         _assert_matches_exact(*draw(rng))
 
 
-def test_scan_samples_a_power_law_uncertified():
+def test_scan_solves_a_power_law_exactly():
     res = best_response_scan_n2(PowerLaw(2.0), 0.8, 1.0, grid=1001)
-    assert not res.certified
     ((a, b),) = res.segments
     c = res.symmetric
     assert a == b == pytest.approx(c, abs=1e-12)
     assert best_response_n2(PowerLaw(2.0), 0.8, 1.0, c) == pytest.approx(c, abs=1e-12)
 
 
-@dataclass(frozen=True)
-class _Unknotted(PiecewiseLinear):
-    """The same law with its knots hidden, so the scan samples it."""
-
-    def cdf_knots(self):
-        return None
+def _sampled_set(d, q, V, gap, count):
+    """The grid oracle's segments whose middle pair is interior."""
+    lo, hi = d.support()
+    return [(a, b) for a, b in oracles.n2_sampled_fixed_set(gap, np.linspace(lo, hi, count))
+            if hetero._interior(((a + b) / 2, best_response_n2(d, q, V, (a + b) / 2)), lo, hi)]
 
 
 def test_scan_exact_set_holds_every_grid_pair():
     rng = np.random.default_rng(22)
     for _ in range(300):
         knots, q, V = _rational_law(rng)
-        pts = tuple((float(c), float(F)) for c, F in knots)
-        exact = best_response_scan_n2(PiecewiseLinear(pts), float(q), float(V), grid=1001)
-        sampled = best_response_scan_n2(_Unknotted(pts), float(q), float(V), grid=1001)
-        assert exact.certified and not sampled.certified
+        d, q, V = _float_law(knots), float(q), float(V)
+        exact = best_response_scan_n2(d, q, V, grid=1001)
+
+        @np.vectorize
+        def gap(c):
+            return best_response_n2(d, q, V, best_response_n2(d, q, V, c)) - c
+
+        sampled = _sampled_set(d, q, V, gap, 1001)
         near = 2.0 * exact.grid_step
-        for c1 in sampled.pairs[:, 0]:
-            assert any(a - near <= c1 <= b + near for a, b in exact.segments)
-        assert sampled.has_symmetric == exact.has_symmetric
+        for a, b in sampled:
+            assert any(s - near <= a and b <= t + near for s, t in exact.segments)
+        c = exact.symmetric
+        assert c is None or any(a - near <= c <= b + near for a, b in sampled)
+
+
+def _power_problems(seed, count):
+    """Seeded power-law problems (d, q, V): alpha log-uniform in [0.3, 60],
+    q in [0.2, 1] and qV in [0.5, 1], where 2-cycles occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alpha = float(np.exp(rng.uniform(np.log(0.3), np.log(60.0))))
+        q = float(rng.uniform(0.2, 1.0))
+        yield PowerLaw(alpha), q, float(rng.uniform(0.5, 1.0)) / q
+
+
+def _power_gap(d, q, V):
+    """BR(BR(c)) - c on F = c^alpha, in numpy, for grids as well as floats."""
+    def br(c):
+        return np.clip(q * V * (1.0 - 0.5 * q * np.clip(c, 0.0, 1.0) ** d.alpha), 0.0, 1.0)
+    return lambda c: br(br(c)) - c
+
+
+def test_scan_matches_a_fine_grid_on_power_laws():
+    cycles = 0
+    for d, q, V in _power_problems(5, 300):
+        res = best_response_scan_n2(d, q, V)
+        sampled = _sampled_set(d, q, V, _power_gap(d, q, V), 100_001)
+        assert len(res.segments) == len(sampled), (d, q, V)
+        np.testing.assert_allclose(res.segments, sampled, rtol=0.0, atol=1e-6)
+        cycles += len(res.segments) > 1
+    assert cycles > 0
+
+
+def test_scan_power_law_two_cycle_against_mpmath():
+    # PowerLaw(20), q = 1, V = 0.95: the symmetric cutoff and an asymmetric
+    # pair, each a root of BR(BR(c)) = c solved at 50 digits.
+    res = best_response_scan_n2(PowerLaw(20.0), 1.0, 0.95)
+    assert len(res.segments) == 3 and all(a == b for a, b in res.segments)
+    with mpmath.workdps(50):
+        def br(c):
+            return mpmath.mpf("0.95") * (1 - c**20 / 2)
+
+        for (c, _), guess in zip(res.segments, (0.797, 0.8965, 0.945)):
+            root = mpmath.findroot(lambda c: br(br(c)) - c, mpmath.mpf(guess))
+            assert abs(c - float(root)) <= 1e-12
+    assert res.symmetric == res.segments[1][0]
+    c1, c2 = res.segments[0][0], res.segments[2][0]
+    assert best_response_n2(PowerLaw(20.0), 1.0, 0.95, c1) == pytest.approx(c2, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha,q", [(5.0, 1.0), (20.0, 0.8), (60.0, 1.0)])
+def test_scan_keeps_the_symmetric_cutoff_through_a_two_cycle_birth(alpha, q):
+    # BR(c) = c with BR'(c) = -1 at c0^alpha = 2/(q(alpha + 1)), the peak of
+    # c BR(c), and V0 = 2/(q^2 alpha c0^(alpha - 1)). There the gap is flat to
+    # third order, so its own root is loose while BR(c) = c stays sharp.
+    c0 = (2.0 / (q * (alpha + 1.0))) ** (1.0 / alpha)
+    V0 = 2.0 / (q * q * alpha * c0 ** (alpha - 1.0))
+    for dV in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
+        d, V = PowerLaw(alpha), V0 + dV
+        res = best_response_scan_n2(d, q, V)
+        c = res.symmetric
+        assert c is not None and abs(best_response_n2(d, q, V, c) - c) <= 1e-15, dV
+        assert any(a <= c <= b for a, b in res.segments), dV
+    assert len(res.segments) == 3  # the 2-cycle, born by dV = 1e-6
+
+
+def test_scan_power_law_of_degree_one_is_the_uniform_law():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        q, V = float(rng.uniform(0.05, 1.0)), float(np.exp(rng.uniform(-2.0, 1.5)))
+        power = best_response_scan_n2(PowerLaw(1.0), q, V)
+        uniform = best_response_scan_n2(U01, q, V)
+        assert len(power.segments) == len(uniform.segments)
+        np.testing.assert_allclose(power.segments, uniform.segments, rtol=0.0, atol=1e-14)
+        assert power.has_symmetric == uniform.has_symmetric
+        assert power.symmetric == pytest.approx(uniform.symmetric, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e6])
+def test_scan_power_law_extremes_stay_finite(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1e-300, 1e-3, 0.5, 1.0):
+            for V in (1e-300, 1e-3, 1.0, 2.0, 1e10, 1e300):
+                res = best_response_scan_n2(PowerLaw(alpha), q, V)
+                for c1, c2 in res.pairs:
+                    assert abs(best_response_n2(PowerLaw(alpha), q, V, c2) - c1) <= 1e-9
+
+
+@dataclass(frozen=True)
+class _Unknotted(PiecewiseLinear):
+    """A law with its knots hidden: neither knotted nor a power law."""
+
+    def cdf_knots(self):
+        return None
+
+
+def test_scan_rejects_a_law_it_cannot_cut():
+    with pytest.raises(InputError):
+        best_response_scan_n2(_Unknotted(((0.0, 0.0), (1.0, 1.0))), 0.5, 1.0)
 
 
 def test_scan_result_stores_the_set_not_the_sample():
@@ -849,5 +950,8 @@ def test_scan_result_stores_the_set_not_the_sample():
 
 
 def test_scan_validation():
-    with pytest.raises(InputError):
-        best_response_scan_n2(U01, 0.5, 1.0, grid=1)
+    for grid in (1, 0, -3, np.int64(1), float("inf"), float("nan"), 2.9, 5.0, "5", None):
+        with pytest.raises(InputError):
+            best_response_scan_n2(U01, 0.5, 1.0, grid=grid)
+    assert best_response_scan_n2(U01, 0.5, 1.0, grid=np.int64(5)).grid_step == 0.25
+    assert best_response_scan_n2(U01, 0.5, 1.0, 2).grid_step == 1.0

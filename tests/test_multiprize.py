@@ -424,9 +424,10 @@ def test_optimal_structure_beats_every_mix_on_a_grid():
         assert value >= best_mix - 1e-12 * max(1.0, abs(value)), (trial, n, q, V, W)
 
 
-def _structure_problems(seed, count):
+def _structure_problems(seed, count, fields=(1.0, 2000.0)):
     """Seeded designer problems (d, q, n, W, V): uniform, power and
-    piecewise-linear laws, some with flat stretches; n from 1 to 2000, q = 1
+    piecewise-linear laws, some with flat stretches; n log-uniform over
+    fields (floored, so from 1 to 2000 by default), q = 1
     in about half; purses from well inside the support to past the one at
     which winner-takes-all clamps at its top, and stakes around that top's."""
     rng = np.random.default_rng(seed)
@@ -440,7 +441,7 @@ def _structure_problems(seed, count):
             rises = rng.uniform(0.05, 1.0, 4) * (rng.random(4) < 0.7)
             rises[rng.integers(4)] += 0.5
             d = _piecewise_law(list(zip(rng.uniform(0.05, 1.0, 4).tolist(), rises.tolist())))
-        n = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
+        n = int(np.exp(rng.uniform(np.log(fields[0]), np.log(fields[1]))))
         q = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.05, 1.0))
         hi = d.support()[1]
         v_top = hi / win_probability(d, ContestConfig(n=float(n), q=q, V=1.0), hi)
@@ -461,6 +462,24 @@ def test_optimal_structure_matches_its_rank_prize_vector():
         assert sol.value == pytest.approx(value, rel=1e-12), (d, q, n, W, V)
         induced = solve_threshold_multi(d, q, n, structure).threshold
         assert sol.threshold == pytest.approx(induced, abs=1e-12), (d, q, n, W, V)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_no_prize_vector_beats_the_optimal_mix(seed):
+    # Seeded nonincreasing prize vectors, a Dirichlet draw times the purse,
+    # on uniform, power and piecewise-linear laws with n from 2 to 11: each
+    # induces a cutoff inside the achievable interval and pays the designer
+    # no more than the optimal winner-takes-all / equal-split mix.
+    rng = np.random.default_rng(seed + 100)
+    for d, q, n, W, V in _structure_problems(seed, 600, fields=(2.0, 12.0)):
+        shares = sorted(rng.dirichlet(np.full(n, float(rng.uniform(0.2, 3.0)))), reverse=True)
+        structure = PrizeStructure(tuple(V * float(s) for s in shares))
+        V = structure.total
+        a, b = achievable_interval(d, q, n, V)
+        assert a <= solve_threshold_multi(d, q, n, structure).threshold <= b, (d, q, n, structure)
+        best = optimal_prize_structure(d, q, n, W, V).value
+        value = principal_value_multi(d, q, n, W, structure)
+        assert value <= best + 1e-12 * abs(best), (d, q, n, W, structure)
 
 
 def test_optimal_structure_builds_no_prize_vector(monkeypatch):
