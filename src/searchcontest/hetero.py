@@ -7,8 +7,10 @@ agent j searches and finds. A searching agent i wins with probability
 
 where T_i counts the other finders and the prize goes to one of the
 T_i + 1 finders at random (integrating t^T over [0, 1] gives 1/(T + 1)).
-The integrand is a polynomial of degree n - 1, so Gauss-Legendre
-quadrature at floor(n/2) + 1 nodes on [0, 1] takes it exactly. One kernel
+The integrand is a polynomial of degree n - 1, which Gauss-Legendre
+quadrature on [0, 1] takes exactly at floor(n/2) + 1 nodes, but a large
+crowd needs far fewer: _node_count sizes the rule by the crowd's sum of q
+(see _share_error_bound), so K grows like its square root. One kernel
 serves every agent: the matrix of log factors log(1 - pi_j + pi_j t_k), one
 row per agent and one column per node, gives each leave-one-out share as
 the weighted sum of exp(column sums - own row).
@@ -29,9 +31,8 @@ in K_i piece by piece, so the designer's system solves no root. Since
 d K_i / d c_j = -K_i v_j with v_j = q_j f(c_j) / (1 - pi_j), that system's
 Jacobian is a diagonal plus a rank-1 term. One routine, _chord_newton,
 takes both Jacobians as a diagonal plus U diag(g) R^T and inverts
-Woodbury's k x k matrix once: k = K for the equilibrium, whose O(nK^2)
-factor is why only its polish stops at POLISH_MAX_N agents, and k = 1 for
-the designer, whose factor and steps cost O(n) at any field size.
+Woodbury's k x k matrix once: k = K for the equilibrium, whose factor
+costs O(nK^2), and k = 1 for the designer, whose factor and steps cost O(n).
 
 The two-player solver at the bottom maps out the full equilibrium set; it
 exists because irregular (kinked) cost distributions can carry a continuum
@@ -59,13 +60,11 @@ from .equilibrium import ContestConfig, solve_threshold
 SWEEP_TOL = 1e-10
 MAX_SWEEPS = 10_000
 # Sweeps hand over to chord-Newton once a sweep moves no cutoff by
-# POLISH_MOVE and contracts by POLISH_RATIO or faster. The equilibrium's
-# polish runs in fields of up to POLISH_MAX_N agents, because its O(nK^2)
-# factor outgrows the sweeps it saves. The designer's O(n) polish has no
-# size gate.
+# POLISH_MOVE and contracts by POLISH_RATIO or faster.
 POLISH_MOVE = 1e-3
 POLISH_RATIO = 0.95
-POLISH_MAX_N = 2000
+# Bound on the quadrature's relative error in every share.
+QUADRATURE_TOL = 1e-15
 PRIZE_AGREEMENT_TOL = 1e-8
 SCAN_TOL = 1e-9
 LEVEL_TOL = 1e-13
@@ -110,14 +109,46 @@ def _find_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
     return np.asarray(contest.q_values) * np.array([contest.dist.cdf(float(t)) for t in c])
 
 
+def _quadrature(contest: HeteroContest) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] for every share, Jacobian
+    and sweep of the contest, at _node_count's size; the arrays are
+    read-only."""
+    return _gauss_legendre(_node_count(contest.n, math.fsum(contest.q_values)))
+
+
 @functools.lru_cache(maxsize=8)
-def _quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], exact up to degree n - 1.
-    Built once per field size; the arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(n // 2 + 1)
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Legendre rule on [0, 1], built once per node count."""
+    x, w = np.polynomial.legendre.leggauss(k)
     t, w = 0.5 * (x + 1.0), 0.5 * w
     t.flags.writeable = w.flags.writeable = False
     return t, w
+
+
+@functools.lru_cache(maxsize=64)
+def _node_count(n: int, total_q: float) -> int:
+    """Fewest nodes whose _share_error_bound is at most QUADRATURE_TOL, and
+    never more than floor(n/2) + 1, which is exact. total_q = sum q bounds
+    sum pi at any cutoffs, so one count serves a whole solve."""
+    exact = n // 2 + 1
+    return next((k for k in range(1, exact) if _share_error_bound(k, total_q) <= QUADRATURE_TOL),
+                exact)
+
+
+def _share_error_bound(k: int, total_q: float) -> float:
+    """Bound on the relative error of a k-node share, from Trefethen, "Is
+    Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50(1), 2008,
+    Thm 4.5: where the integrand is at most M on the Bernstein ellipse of
+    rho = e^s, the k-node rule's error on [0, 1] is at most
+    (32/15) M rho^(-2k) / (1 - rho^(-2)). There |2t - 1| <= a = cosh s, so
+    each factor has |1 - pi + pi t| <= 1 + pi (a - 1) / 2, and
+    M = exp(S (a - 1) / 2) with S = total_q >= sum pi. By Jensen
+    psi_i / q_i >= 1 / (1 + S), which makes the bound relative. It holds at
+    every rho > 1, and s = asinh(4k / S) nearly minimizes it; s stops at 20,
+    where rho^(-2) < 1e-17 already, so that a tiny S cannot overflow it."""
+    S, s = total_q, min(math.asinh(4.0 * k / total_q), 20.0)
+    return math.exp(math.log(32.0 / 15.0) + math.log1p(S) + 0.5 * S * (math.cosh(s) - 1.0)
+                    - 2.0 * k * s - math.log(-math.expm1(-2.0 * s)))
 
 
 def _log_factors(pi, t: np.ndarray) -> np.ndarray:
@@ -135,7 +166,7 @@ def _shares(q: np.ndarray, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 def agent_win_probabilities(contest: HeteroContest, thresholds) -> np.ndarray:
     """Win probability psi_i of each searching agent when the agents use
     the given cutoffs."""
-    t, w = _quadrature(contest.n)
+    t, w = _quadrature(contest)
     rows = _log_factors(_find_probabilities(contest, thresholds), t)
     return _shares(np.asarray(contest.q_values), rows, w)
 
@@ -147,10 +178,10 @@ def share_jacobian(contest: HeteroContest, thresholds) -> tuple[np.ndarray, ...]
 
     with P_ik = q_i A_ik, R_jk = q_j f(c_j) A_jk, g_k = w_k (t_k - 1) E_k,
     A_ik = 1 / (1 - pi_i (1 - t_k)) and E_k = prod_j (1 - pi_j (1 - t_k));
-    d psi_i / d c_i = 0. P and R are n x K for K = floor(n/2) + 1 nodes, so
+    d psi_i / d c_i = 0. P and R are n x K for the K nodes of _quadrature, so
     the n x n matrix is never built. The cutoffs must lie in the support.
     """
-    t, w = _quadrature(contest.n)
+    t, w = _quadrature(contest)
     rows = _log_factors(_find_probabilities(contest, thresholds), t)
     f = np.array([contest.dist.pdf(float(x)) for x in thresholds])
     P, g = _jacobian_factors(np.asarray(contest.q_values), rows, rows.sum(axis=0), t, w)
@@ -218,7 +249,7 @@ def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
     q = np.asarray(contest.q_values)
     sym = solve_threshold(d, ContestConfig(n=float(contest.n), q=float(np.mean(q)), V=contest.V))
     c = np.full(contest.n, sym.threshold)
-    t, w = _quadrature(contest.n)
+    t, w = _quadrature(contest)
     rows = _log_factors(_find_probabilities(contest, c), t)
     cols = rows.sum(axis=0)
 
@@ -232,8 +263,8 @@ def solve_thresholds(contest: HeteroContest) -> ThresholdVector:
         cols += rows[i]
         return c_i
 
-    polish = functools.partial(_equilibrium_newton, contest, c, rows, t, w)
-    return _gauss_seidel(c, best_response, None if contest.n > POLISH_MAX_N else polish)
+    return _gauss_seidel(c, best_response,
+                         functools.partial(_equilibrium_newton, contest, c, rows, t, w))
 
 
 def _equilibrium_newton(contest: HeteroContest, c: np.ndarray, rows: np.ndarray, t, w):

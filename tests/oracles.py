@@ -439,7 +439,7 @@ def gauss_seidel_thresholds(contest):
     q = np.asarray(contest.q_values)
     sym = solve_threshold(d, ContestConfig(n=float(n), q=float(np.mean(q)), V=V))
     c = np.full(n, sym.threshold)
-    t, w = hetero._quadrature(n)
+    t, w = hetero._quadrature(contest)
     rows = np.log1p(np.multiply.outer(q * np.array([d.cdf(float(x)) for x in c]), t - 1.0))
     prev = math.inf
     for sweep in range(1, hetero.MAX_SWEEPS + 1):

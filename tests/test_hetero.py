@@ -177,6 +177,38 @@ def test_quadrature_shares_match_convolution(n, rel):
     np.testing.assert_allclose(got[agents], ref, rtol=rel, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200, 2000, 10_000])
+def test_node_count_is_the_fewest_nodes_within_the_bound(n):
+    exact = n // 2 + 1
+    totals = np.geomspace(1e-300, n, 150).tolist() + [5e-324, float(n)]
+    counts = [hetero._node_count(n, S) for S in sorted(totals)]
+    assert all(1 <= k <= exact for k in counts)
+    assert counts == sorted(counts)  # never fewer nodes for a larger sum of q
+    for S, k in zip(sorted(totals), counts):
+        if k < exact:
+            assert hetero._share_error_bound(k, S) <= hetero.QUADRATURE_TOL
+        if k > 1:
+            assert hetero._share_error_bound(k - 1, S) > hetero.QUADRATURE_TOL
+
+
+def test_node_count_of_a_tiny_crowd_and_of_sure_finders_at_the_top():
+    # sum q = 5e-300: uncapped, s = asinh(4k / S) is near 690 and e^(2s) overflows.
+    tiny = HeteroContest((1e-300,) * 5, 1.0, U01)
+    assert hetero._quadrature(tiny)[0].size == 1
+    np.testing.assert_allclose(agent_win_probabilities(tiny, np.ones(5)), 1e-300, rtol=1e-15)
+    sol = solve_thresholds(tiny)
+    assert sol.converged
+    np.testing.assert_allclose(sol.thresholds, 1e-300, rtol=1e-15)
+    # n sure finders at the top: psi = 1/n, from t^(n - 1) at fewer nodes
+    # than take it exactly once n is large; the tolerances are those of the
+    # convolution test, set by the rounding of n log factors.
+    for n, k, rel in ((5, 3, 1e-12), (50, 25, 1e-12), (2000, 149, 1e-10)):
+        contest = HeteroContest((1.0,) * n, 1.0, U01)
+        assert hetero._quadrature(contest)[0].size == k
+        np.testing.assert_allclose(agent_win_probabilities(contest, np.ones(n)), 1.0 / n,
+                                   rtol=rel, atol=0.0)
+
+
 @given(
     n=st.integers(min_value=1, max_value=200),
     q=st.floats(min_value=1e-6, max_value=1.0),
@@ -229,7 +261,8 @@ def test_share_jacobian_matches_central_differences(n, d):
         fd[:, j] = (agent_win_probabilities(contest, up)
                     - agent_win_probabilities(contest, down)) / (2.0 * h)
     P, g, R = share_jacobian(contest, c)
-    assert P.shape == R.shape == (n, n // 2 + 1) and g.shape == (n // 2 + 1,)
+    k = hetero._node_count(n, math.fsum(q))
+    assert P.shape == R.shape == (n, k) and g.shape == (k,)
     np.testing.assert_allclose(dense_jacobian(contest, c), fd, rtol=0.0, atol=1e-9)
 
 
@@ -323,6 +356,51 @@ def test_solve_thresholds_large_field_is_a_fixed_point():
         assert c[i] == pytest.approx(q[i] * share_by_convolution(pi, i), abs=1e-9)
 
 
+def test_solve_thresholds_on_a_busy_power_law_crowd_match_convolution():
+    # On PowerLaw(0.3) this crowd expects more than 150 finders, so the
+    # rule has far fewer nodes than the 1001 that take each share exactly.
+    rng = np.random.default_rng(2003)
+    q = rng.uniform(0.05, 1.0, 2000)
+    contest = HeteroContest(tuple(q), 1.0, PowerLaw(0.3))
+    assert hetero._quadrature(contest)[0].size < 200
+    sol = solve_thresholds(contest)
+    assert sol.converged
+    pi = hetero._find_probabilities(contest, sol.thresholds)
+    assert pi.sum() > 150.0
+    for i in rng.choice(2000, 12, replace=False):
+        want = min(max(contest.V * q[i] * share_by_convolution(pi, i), 0.0), 1.0)
+        assert abs(sol.thresholds[i] - want) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [U01, PowerLaw(3.0), PowerLaw(0.3)],
+                         ids=["uniform", "power3", "power0.3"])
+def test_sized_rule_keeps_the_exact_rules_thresholds(monkeypatch, d):
+    crowds = [HeteroContest(tuple(np.random.default_rng(n).uniform(0.05, 1.0, n)), 1.0, d)
+              for n in (10, 200, 2000)]
+    sized = [solve_thresholds(contest) for contest in crowds]
+    counts = [hetero._quadrature(contest)[0].size for contest in crowds]
+    assert counts[0] == 6 and counts[2] < 1001
+    monkeypatch.setattr(hetero, "_node_count", lambda n, total_q: n // 2 + 1)
+    for contest, new, k in zip(crowds, sized, counts):
+        old = solve_thresholds(contest)
+        assert new.converged and old.converged
+        if k == contest.n // 2 + 1:  # the exact rule itself
+            np.testing.assert_array_equal(new.thresholds, old.thresholds)
+        else:
+            np.testing.assert_allclose(new.thresholds, old.thresholds, rtol=0.0, atol=1e-12)
+
+
+def test_solve_thresholds_polishes_a_ten_thousand_agent_crowd():
+    # The exact rule would need 5001 nodes here; the polish has no size gate.
+    rng = np.random.default_rng(1)
+    q = rng.permutation(0.2 + 0.7 * (np.arange(10_000) + rng.random(10_000)) / 10_000)
+    contest = HeteroContest(tuple(q), 1.0, U01)
+    sol = solve_thresholds(contest)
+    assert sol.converged and sol.newton_steps > 0
+    psi = agent_win_probabilities(contest, sol.thresholds)
+    assert np.max(np.abs(sol.thresholds - np.clip(contest.V * psi, 0.0, 1.0))) < SWEEP_TOL
+
+
 def test_solve_thresholds_symmetric_matches_baseline():
     contest = HeteroContest((0.5, 0.5, 0.5), 1.0, U01)
     sol = solve_thresholds(contest)
@@ -385,25 +463,25 @@ def test_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatch):
     contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
     polished = solve_thresholds(contest)
     assert polished.newton_steps > 0
-    # Past the size where the factor pays, the sweeps finish alone.
-    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
+    # A refused polish: no step kept, and the sweeps finish alone.
+    monkeypatch.setattr(hetero, "_equilibrium_newton", lambda *args: (0, False))
     alone = solve_thresholds(contest)
     c, converged, sweeps = oracles.gauss_seidel_thresholds(contest)
     assert alone.newton_steps == 0 and alone.sweeps == sweeps
     np.testing.assert_array_equal(alone.thresholds, c)
 
 
-def test_quadrature_rule_is_built_once_per_field_size(monkeypatch):
+def test_quadrature_rule_is_built_once_per_node_count(monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda k: calls.append(k) or leggauss(k))
-    hetero._quadrature.cache_clear()
+    hetero._gauss_legendre.cache_clear()
     contest = HeteroContest((0.9, 0.6, 0.3, 0.5, 0.2, 0.7, 0.4), 1.0, U01)
     first, second = solve_thresholds(contest), solve_thresholds(contest)
     assert calls == [4]
     np.testing.assert_array_equal(first.thresholds, second.thresholds)
-    for a in hetero._quadrature(contest.n):
+    for a in hetero._quadrature(contest):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.5
@@ -440,7 +518,7 @@ def test_chord_step_that_moves_an_image_to_the_clamp_is_refused(monkeypatch, sys
     if system == "equilibrium":
         contest = HeteroContest((0.44, 0.31, 0.86), 1.31, U01)
         c = np.array([0.66, 0.97, 0.59])
-        t, w = hetero._quadrature(contest.n)
+        t, w = hetero._quadrature(contest)
         rows = hetero._log_factors(hetero._find_probabilities(contest, c), t)
         steps, done = hetero._equilibrium_newton(contest, c, rows, t, w)
     else:  # secant slope 1/2, exact on U[0, 1]
@@ -561,18 +639,6 @@ def test_principal_newton_steps_are_zero_when_the_sweeps_finish_alone(monkeypatc
     assert alone.converged and converged
     assert alone.newton_steps == 0 and alone.sweeps == sweeps
     np.testing.assert_array_equal(alone.thresholds, c)
-
-
-def test_size_gate_holds_back_the_equilibrium_polish_only(monkeypatch):
-    # The designer's factor costs O(n), so past POLISH_MAX_N it still polishes.
-    contest = HeteroContest((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05), 1.0, U01)
-    monkeypatch.setattr(hetero, "POLISH_MAX_N", contest.n - 1)
-    assert solve_thresholds(contest).newton_steps == 0
-    sol = solve_principal_thresholds(contest, W=2.0)
-    c, converged, sweeps = oracles.gauss_seidel_principal(contest, W=2.0)
-    assert sol.converged and converged
-    assert sol.newton_steps > 0 and sol.sweeps < sweeps
-    np.testing.assert_allclose(sol.thresholds, c, rtol=0.0, atol=1e-9)
 
 
 def test_principal_thresholds_validation():
